@@ -14,13 +14,14 @@ import time
 from dataclasses import dataclass, field
 from math import log2
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .bm25 import Bm25Params, InvertedIndex, bm25_search, build_index, build_pool_index
 from .data import Dataset, Demonstration, DemonstrationPool, Passage, Query, TrainingInput
 from .reranker import CrossEncoder, cross_score_batch
-from .retriever import BiEncoder, DenseIndex, retrieve_topD
+from .retriever import BiEncoder, DenseIndex, EncodingCache, retrieve_topD
 from .scoring import PromptTemplate, ScorerBackend, relevance_score, score_list
 
 POLICIES = ("zero-shot", "random", "bm25-demos", "retriever-topk", "demorank")
@@ -67,14 +68,20 @@ def greedy_select_from(input, candidates: list[Demonstration], k: int,
 
 
 def greedy_select(input, retriever: BiEncoder, index: DenseIndex,
-                  reranker: CrossEncoder, D: int, k: int) -> list[Demonstration]:
-    """Retrieve top-D with the bi-encoder, then greedily pick k by reranker score."""
+                  reranker: CrossEncoder, D: int, k: int,
+                  encodings: EncodingCache | None = None) -> list[Demonstration]:
+    """Retrieve top-D with the bi-encoder, then greedily pick k by reranker score.
+
+    Each text is encoded by the reranker once per `encodings` memo (from
+    `reranker.encodings()`), however many rounds and calls score it.
+    """
     if k > D:
         raise ValueError(f"k={k} must not exceed D={D}")
     candidates = retrieve_topD(index, retriever, input, D)
+    enc = encodings if encodings is not None else reranker.encodings()
     return greedy_select_from(
         input, candidates, k,
-        lambda prefix, rem: cross_score_batch(reranker, input, prefix, rem))
+        lambda prefix, rem: cross_score_batch(reranker, input, prefix, rem, enc))
 
 
 def brute_force_best_list(input: TrainingInput, candidates: list[Demonstration],
@@ -271,26 +278,29 @@ def initial_rankings(dataset: Dataset, params: Bm25Params) -> dict[str, list[Pas
     return out
 
 
-def _select_demos(policy: str, ctx: PolicyContext, input: RankInput,
-                  rng: random.Random) -> list[Demonstration]:
+def _selector(policy: str, ctx: PolicyContext
+              ) -> Callable[[RankInput, random.Random], list[Demonstration]]:
+    """The policy's demo selection function, one call per test input."""
     if policy == "zero-shot":
-        return []
+        return lambda input, rng: []
     if policy == "random":
         k = min(ctx.shots, len(ctx.pool))
-        return [ctx.pool[i] for i in rng.sample(range(len(ctx.pool)), k)]
+        return lambda input, rng: [ctx.pool[i] for i in rng.sample(range(len(ctx.pool)), k)]
     if policy == "bm25-demos":
         ctx.require("pool_bm25_index")
-        hits = bm25_search(ctx.pool_bm25_index, ctx.bm25_params,
-                           input.query.text, top=ctx.shots)
-        return [ctx.pool[i] for i, _ in hits]
+        return lambda input, rng: [
+            ctx.pool[i] for i, _ in bm25_search(ctx.pool_bm25_index, ctx.bm25_params,
+                                                input.query.text, top=ctx.shots)]
     if policy == "retriever-topk":
         ctx.require("retriever", "dense_index")
-        return retrieve_topD(ctx.dense_index, ctx.retriever, input,
-                             ctx.retrieve_d)[:ctx.shots]
+        return lambda input, rng: retrieve_topD(ctx.dense_index, ctx.retriever, input,
+                                                ctx.retrieve_d)[:ctx.shots]
     if policy == "demorank":
         ctx.require("retriever", "dense_index", "reranker")
-        return greedy_select(input, ctx.retriever, ctx.dense_index,
-                             ctx.reranker, ctx.retrieve_d, ctx.shots)
+        encodings = ctx.reranker.encodings()  # the reranker is frozen while ranking
+        return lambda input, rng: greedy_select(input, ctx.retriever, ctx.dense_index,
+                                                ctx.reranker, ctx.retrieve_d, ctx.shots,
+                                                encodings)
     raise ValueError(f"unknown policy {policy!r}")
 
 
@@ -300,6 +310,7 @@ def run_policy(policy: str, dataset: Dataset, ctx: PolicyContext,
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     start = time.monotonic()
+    select = _selector(policy, ctx)
     initial = initial_rankings(dataset, ctx.bm25_params)
     qrels = dataset.judgments_by_query()
     entries: list[RunEntry] = []
@@ -309,15 +320,14 @@ def run_policy(policy: str, dataset: Dataset, ctx: PolicyContext,
             continue
         if ctx.per_query_selection:
             rng = random.Random((ctx.seed, policy, q_ordinal).__repr__())
-            demos = _select_demos(policy, ctx, RankInput(query, passages[0]), rng)
+            demos = select(RankInput(query, passages[0]), rng)
             entries.extend(rank_passages(query, passages, demos, ctx.backend,
                                          ctx.template, tag=policy))
         else:
             demos_per_passage = []
             for p_ordinal, passage in enumerate(passages):
                 rng = random.Random((ctx.seed, policy, q_ordinal, p_ordinal).__repr__())
-                demos_per_passage.append(
-                    _select_demos(policy, ctx, RankInput(query, passage), rng))
+                demos_per_passage.append(select(RankInput(query, passage), rng))
             entries.extend(rank_passages_per_input(query, passages, demos_per_passage,
                                                    ctx.backend, ctx.template, tag=policy))
     per_query, mean, excluded = evaluate_run(entries, qrels)

@@ -25,13 +25,19 @@ import numpy as np
 from .data import Demonstration, DemonstrationPool, TrainingInput
 from .retriever import (
     EncoderConfig,
+    EncodingCache,
+    FeatureCache,
     demo_text,
-    encode_feats,
+    feats_rows,
     input_text,
+    scatter_feats,
+    sgd_rows,
     snap_f32,
     stable_sigmoid,
-    text_features,
 )
+# The featurization kernels stay importable from this module, where callers
+# and perfbench/spans.py (which wraps every module alias) expect them.
+from .retriever import encode_feats, text_features  # noqa: F401
 from .scoring import PromptTemplate, ScorerBackend, score_list
 
 logger = logging.getLogger(__name__)
@@ -93,24 +99,44 @@ class CrossEncoder:
                             self.w1.copy(), self.b1.copy(), self.w2.copy(),
                             self.b2.copy())
 
+    def encodings(self, features: FeatureCache | None = None) -> EncodingCache:
+        """A memo of text encodings under the current embedding table."""
+        return EncodingCache(self.embeddings,
+                             features or FeatureCache(self.config.vocab_buckets))
 
-def _encode_text(model: CrossEncoder, text: str) -> np.ndarray:
-    return encode_feats(model.embeddings,
-                        text_features(text, model.config.vocab_buckets))
+
+@dataclass(frozen=True)
+class _Lists:
+    """One input and prefix with a batch of candidate last demos: the texts,
+    their encodings, and one feature row [e_input; e_prefix; e_last;
+    e_input * e_last] per candidate."""
+
+    input_text: str
+    prefix_texts: list[str]
+    last_texts: list[str]
+    e_input: np.ndarray
+    e_lasts: np.ndarray  # (n, dim)
+    x: np.ndarray  # (n, 4 * dim)
 
 
-def _list_vectors(model: CrossEncoder, input, demos) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    e_input = _encode_text(model, input_text(input.query.text, input.passage.text))
-    e_last = _encode_text(model, demo_text(demos[-1]))
-    if len(demos) > 1:
-        e_prefix = np.mean([_encode_text(model, demo_text(d)) for d in demos[:-1]], axis=0)
+def _featurize(enc: EncodingCache, input, prefix, lasts) -> _Lists:
+    """The single place cross-encoder feature rows are built."""
+    in_text = input_text(input.query.text, input.passage.text)
+    prefix_texts = [demo_text(d) for d in prefix]
+    last_texts = [demo_text(z) for z in lasts]
+    e_input = enc(in_text)
+    if prefix_texts:
+        e_prefix = np.mean([enc(t) for t in prefix_texts], axis=0)
     else:
-        e_prefix = np.zeros(model.config.dim, dtype=np.float64)
-    return e_input, e_prefix, e_last
-
-
-def _features(e_input, e_prefix, e_last) -> np.ndarray:
-    return np.concatenate([e_input, e_prefix, e_last, e_input * e_last])
+        e_prefix = np.zeros_like(e_input)
+    e_lasts = np.stack([enc(t) for t in last_texts])
+    n, d = e_lasts.shape
+    x = np.empty((n, 4 * d))
+    x[:, :d] = e_input
+    x[:, d:2 * d] = e_prefix
+    x[:, 2 * d:3 * d] = e_lasts
+    np.multiply(e_input, e_lasts, out=x[:, 3 * d:])
+    return _Lists(in_text, prefix_texts, last_texts, e_input, e_lasts, x)
 
 
 def _forward(model: CrossEncoder, x_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,32 +146,55 @@ def _forward(model: CrossEncoder, x_rows: np.ndarray) -> tuple[np.ndarray, np.nd
     return h @ model.w2 + model.b2[0], h
 
 
+def _backward(model: CrossEncoder, enc: EncodingCache, lists: _Lists,
+              h: np.ndarray, gscore: np.ndarray, grads: dict) -> None:
+    """Add the gradient of sum(gscore * scores) to every parameter's grads.
+
+    Table rows receive the input's, then each prefix demo's, then each last
+    demo's contribution, in that order.
+    """
+    d = model.config.dim
+    ga = gscore[:, None] * model.w2[None, :] * (1.0 - h * h)
+    grads["w1"] += ga.T @ lists.x
+    grads["b1"] += ga.sum(axis=0)
+    grads["w2"] += (gscore[:, None] * h).sum(axis=0)
+    grads["b2"][0] += gscore.sum()
+    gx = ga @ model.w1
+
+    g_input = gx[:, :d].sum(axis=0) + (gx[:, 3 * d:] * lists.e_lasts).sum(axis=0)
+    g_prefix = gx[:, d:2 * d].sum(axis=0)
+    g_lasts = gx[:, 2 * d:3 * d] + gx[:, 3 * d:] * lists.e_input[None, :]
+
+    table_grad = grads["embeddings"]
+    scatter_feats(table_grad, enc.features(lists.input_text), g_input)
+    if lists.prefix_texts:
+        g_each = g_prefix / len(lists.prefix_texts)
+        for text in lists.prefix_texts:
+            scatter_feats(table_grad, enc.features(text), g_each)
+    for row, text in zip(g_lasts, lists.last_texts):
+        scatter_feats(table_grad, enc.features(text), row)
+
+
 def cross_score(model: CrossEncoder, input, demos) -> float:
     """Predicted value of `demos` as an ordered demonstration list for `input`."""
     if not demos:
         raise EmptyListError("cross_score needs at least one demonstration")
-    x = _features(*_list_vectors(model, input, demos))
-    scores, _ = _forward(model, x[None, :])
+    scores, _ = _forward(model, _featurize(model.encodings(), input,
+                                           demos[:-1], demos[-1:]).x)
     return float(scores[0])
 
 
-def cross_score_batch(model: CrossEncoder, input, prefix,
-                      candidates) -> np.ndarray:
-    """cross_score(input, prefix + [z]) for every candidate z, in one batch."""
+def cross_score_batch(model: CrossEncoder, input, prefix, candidates,
+                      encodings: EncodingCache | None = None) -> np.ndarray:
+    """cross_score(input, prefix + [z]) for every candidate z, in one batch.
+
+    `encodings` (from `model.encodings()`) lets calls on a frozen model
+    share text encodings.
+    """
     if not candidates:
         return np.empty(0, dtype=np.float64)
-    e_input = _encode_text(model, input_text(input.query.text, input.passage.text))
-    if prefix:
-        e_prefix = np.mean([_encode_text(model, demo_text(d)) for d in prefix], axis=0)
-    else:
-        e_prefix = np.zeros(model.config.dim, dtype=np.float64)
-    lasts = np.stack([_encode_text(model, demo_text(z)) for z in candidates])
-    n = len(candidates)
-    x = np.concatenate([
-        np.tile(e_input, (n, 1)), np.tile(e_prefix, (n, 1)),
-        lasts, np.tile(e_input, (n, 1)) * lasts,
-    ], axis=1)
-    scores, _ = _forward(model, x)
+    enc = encodings if encodings is not None else model.encodings()
+    scores, _ = _forward(model, _featurize(enc, input, prefix, candidates).x)
     return scores
 
 
@@ -266,19 +315,9 @@ def construct_samples_for_corpus(inputs, retrieved_by_input, backend, template,
 # List-pairwise loss
 
 
-def _sample_x_rows(model: CrossEncoder, sample: DependencySample) -> np.ndarray:
-    e_input = _encode_text(model, input_text(sample.input.query.text,
-                                             sample.input.passage.text))
-    if sample.prefix:
-        prefix_encs = [_encode_text(model, demo_text(d)) for d in sample.prefix]
-        e_prefix = np.mean(prefix_encs, axis=0)
-    else:
-        e_prefix = np.zeros(model.config.dim, dtype=np.float64)
-    rows = []
-    for cont in sample.continuations:
-        e_last = _encode_text(model, demo_text(cont.demos[-1]))
-        rows.append(_features(e_input, e_prefix, e_last))
-    return np.stack(rows)
+def _sample_lists(enc: EncodingCache, sample: DependencySample) -> _Lists:
+    return _featurize(enc, sample.input, sample.prefix,
+                      [c.demos[-1] for c in sample.continuations])
 
 
 def _select_pairs(n: int, max_pairs: int | None, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -301,78 +340,25 @@ def list_pairwise_loss(model: CrossEncoder, samples: list[DependencySample],
                        pair_rng: np.random.Generator | None = None) -> float:
     """Sum over samples and better/worse continuation pairs of
     log(1 + exp(score_worse - score_better)) under the model."""
+    enc = model.encodings()
     total = 0.0
     for sample in samples:
-        x = _sample_x_rows(model, sample)
-        scores, _ = _forward(model, x)
+        scores, _ = _forward(model, _sample_lists(enc, sample).x)
         ii, jj = _select_pairs(len(scores), max_pairs_per_sample, pair_rng)
         total += float(np.logaddexp(0.0, scores[jj] - scores[ii]).sum())
     return total
 
 
-def _sample_loss_and_param_grads(model: CrossEncoder, sample: DependencySample,
-                                 max_pairs: int | None, pair_rng,
-                                 grads: dict) -> float:
-    buckets = model.config.vocab_buckets
-    inp_feats = text_features(input_text(sample.input.query.text,
-                                         sample.input.passage.text), buckets)
-    prefix_feats = [text_features(demo_text(d), buckets) for d in sample.prefix]
-    last_feats = [text_features(demo_text(c.demos[-1]), buckets)
-                  for c in sample.continuations]
-
-    e_input = encode_feats(model.embeddings, inp_feats)
-    if prefix_feats:
-        e_prefix = np.mean([encode_feats(model.embeddings, f) for f in prefix_feats], axis=0)
-    else:
-        e_prefix = np.zeros(model.config.dim, dtype=np.float64)
-    lasts = np.stack([encode_feats(model.embeddings, f) for f in last_feats])
-
-    n = len(sample.continuations)
-    d = model.config.dim
-    x = np.concatenate([
-        np.tile(e_input, (n, 1)), np.tile(e_prefix, (n, 1)),
-        lasts, np.tile(e_input, (n, 1)) * lasts,
-    ], axis=1)
-    scores, h = _forward(model, x)
-
-    ii, jj = _select_pairs(n, max_pairs, pair_rng)
-    sig = stable_sigmoid(scores[jj] - scores[ii])
-    loss = float(np.logaddexp(0.0, scores[jj] - scores[ii]).sum())
-    gscore = np.zeros(n, dtype=np.float64)
-    np.add.at(gscore, jj, sig)
-    np.add.at(gscore, ii, -sig)
-
-    # MLP backward
-    ga = gscore[:, None] * model.w2[None, :] * (1.0 - h * h)
-    grads["w1"] += ga.T @ x
-    grads["b1"] += ga.sum(axis=0)
-    grads["w2"] += (gscore[:, None] * h).sum(axis=0)
-    grads["b2"][0] += gscore.sum()
-    gx = ga @ model.w1
-
-    g_input = gx[:, :d].sum(axis=0) + (gx[:, 3 * d:] * lasts).sum(axis=0)
-    g_prefix = gx[:, d:2 * d].sum(axis=0)
-    g_lasts = gx[:, 2 * d:3 * d] + gx[:, 3 * d:] * e_input[None, :]
-
-    table_grad = grads["embeddings"]
-    ids, w = inp_feats
-    if len(ids):
-        np.add.at(table_grad, ids, w[:, None] * g_input[None, :])
-    if prefix_feats:
-        g_each = g_prefix / len(prefix_feats)
-        for ids, w in prefix_feats:
-            if len(ids):
-                np.add.at(table_grad, ids, w[:, None] * g_each[None, :])
-    for row, (ids, w) in zip(g_lasts, last_feats):
-        if len(ids):
-            np.add.at(table_grad, ids, w[:, None] * row[None, :])
-    return loss
-
-
 def reranker_loss_and_grads(model: CrossEncoder, samples: list[DependencySample],
                             max_pairs_per_sample: int | None = None,
-                            pair_rng=None) -> tuple[float, dict]:
-    """List-pairwise loss over samples plus gradients for every parameter."""
+                            pair_rng=None,
+                            features: FeatureCache | None = None) -> tuple[float, dict]:
+    """List-pairwise loss over samples plus gradients for every parameter.
+
+    Each distinct text is encoded once for all samples; `features` lets a
+    caller share featurization across calls.
+    """
+    enc = model.encodings(features)
     grads = {
         "embeddings": np.zeros_like(model.embeddings),
         "w1": np.zeros_like(model.w1),
@@ -382,8 +368,16 @@ def reranker_loss_and_grads(model: CrossEncoder, samples: list[DependencySample]
     }
     loss = 0.0
     for sample in samples:
-        loss += _sample_loss_and_param_grads(model, sample, max_pairs_per_sample,
-                                             pair_rng, grads)
+        lists = _sample_lists(enc, sample)
+        scores, h = _forward(model, lists.x)
+        n = len(scores)
+        ii, jj = _select_pairs(n, max_pairs_per_sample, pair_rng)
+        sig = stable_sigmoid(scores[jj] - scores[ii])
+        loss += float(np.logaddexp(0.0, scores[jj] - scores[ii]).sum())
+        gscore = np.zeros(n, dtype=np.float64)
+        np.add.at(gscore, jj, sig)
+        np.add.at(gscore, ii, -sig)
+        _backward(model, enc, lists, h, gscore, grads)
     return loss, grads
 
 
@@ -404,12 +398,24 @@ class RerankerTrainConfig:
             raise ValueError("bad reranker training config")
 
 
+def _group_rows(features: FeatureCache, group: list[DependencySample]) -> np.ndarray:
+    """Table rows read by any text of a group's samples."""
+    feats = []
+    for s in group:
+        feats.append(features(input_text(s.input.query.text, s.input.passage.text)))
+        feats.extend(features(demo_text(d)) for d in s.prefix)
+        feats.extend(features(demo_text(c.demos[-1])) for c in s.continuations)
+    return feats_rows(feats)
+
+
 def train_reranker(model: CrossEncoder, samples: list[DependencySample],
                    cfg: RerankerTrainConfig = RerankerTrainConfig()) -> CrossEncoder:
     """Seeded gradient descent on the list-pairwise loss.
 
     Samples sharing a training input form one gradient step, so each step
-    optimizes that input's full loss across its prefixes.
+    optimizes that input's full loss across its prefixes.  Features are built
+    once per distinct text, and each step updates only the embedding rows its
+    group's texts read.
     """
     if not samples:
         raise ValueError("no training samples")
@@ -417,7 +423,11 @@ def train_reranker(model: CrossEncoder, samples: list[DependencySample],
     for s in samples:
         groups.setdefault(s.input.input_id, []).append(s)
     keys = sorted(groups)
+    features = FeatureCache(model.config.vocab_buckets)
+    rows = [_group_rows(features, groups[key]) for key in keys]
     trained = model.copy()
+    # on the float32 grid from the start, as sgd_rows leaves untouched rows alone
+    trained.embeddings = snap_f32(model.embeddings)
     rng = np.random.default_rng(cfg.seed)
     for epoch in range(cfg.epochs):
         total = 0.0
@@ -425,12 +435,12 @@ def train_reranker(model: CrossEncoder, samples: list[DependencySample],
             group = groups[keys[gi]]
             loss, grads = reranker_loss_and_grads(
                 trained, group, cfg.max_pairs_per_sample,
-                np.random.default_rng(cfg.seed + 7919 * int(gi)))
+                np.random.default_rng(cfg.seed + 7919 * int(gi)), features)
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite reranker loss at epoch {epoch} on {keys[gi]}: {loss}")
             total += loss
-            trained.embeddings = snap_f32(trained.embeddings - cfg.learning_rate * grads["embeddings"])
+            sgd_rows(trained.embeddings, grads["embeddings"], rows[gi], cfg.learning_rate)
             trained.w1 = snap_f32(trained.w1 - cfg.learning_rate * grads["w1"])
             trained.b1 = snap_f32(trained.b1 - cfg.learning_rate * grads["b1"])
             trained.w2 = snap_f32(trained.w2 - cfg.learning_rate * grads["w2"])

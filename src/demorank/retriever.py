@@ -102,7 +102,71 @@ def encode_feats(table: np.ndarray, feats: tuple[np.ndarray, np.ndarray]) -> np.
     ids, weights = feats
     if len(ids) == 0:
         return np.zeros(table.shape[1], dtype=np.float64)
-    return weights @ table[ids]
+    return weights @ table.take(ids, axis=0)
+
+
+def scatter_feats(grad: np.ndarray, feats: tuple[np.ndarray, np.ndarray],
+                  row: np.ndarray) -> None:
+    """grad[ids] += weights x row: the table gradient of one encoding.
+
+    A text's bucket ids are distinct, so gathering, adding and writing back
+    the rows equals np.add.at bit for bit; callers add texts in a fixed order
+    so every row sums its contributions in that order.
+    """
+    ids, weights = feats
+    if len(ids):
+        contrib = weights[:, None] * row[None, :]
+        contrib += grad.take(ids, axis=0)
+        grad[ids] = contrib
+
+
+def feats_rows(feats_list) -> np.ndarray:
+    """Sorted distinct table rows that any of the texts' encodings read."""
+    return np.unique(np.concatenate([ids for ids, _ in feats_list]))
+
+
+def sgd_rows(table: np.ndarray, grad: np.ndarray, rows: np.ndarray,
+             learning_rate: float) -> None:
+    """One float32-grid SGD step on the given rows of `table`, in place.
+
+    Rows outside `rows` must have zero gradient; they are left alone, which
+    equals a full-table step because a float32-grid value e gives
+    snap_f32(e - lr * 0) == e.
+    """
+    table[rows] = snap_f32(table[rows] - learning_rate * grad[rows])
+
+
+class FeatureCache:
+    """Each distinct text's (ids, weights), computed once for the cache's life."""
+
+    def __init__(self, buckets: int) -> None:
+        self.buckets = buckets
+        self._feats: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    def __call__(self, text: str) -> tuple[np.ndarray, np.ndarray]:
+        got = self._feats.get(text)
+        if got is None:
+            got = self._feats[text] = text_features(text, self.buckets)
+        return got
+
+
+class EncodingCache:
+    """Each distinct text's encoding under one table, computed once.
+
+    Valid while the table is unchanged: within one training step, or for a
+    frozen model.
+    """
+
+    def __init__(self, table: np.ndarray, features: FeatureCache) -> None:
+        self.table = table
+        self.features = features
+        self._enc: dict[str, np.ndarray] = {}
+
+    def __call__(self, text: str) -> np.ndarray:
+        got = self._enc.get(text)
+        if got is None:
+            got = self._enc[text] = encode_feats(self.table, self.features(text))
+        return got
 
 
 def encode(model: BiEncoder, text: str) -> np.ndarray:
@@ -224,13 +288,9 @@ def _set_loss_and_grad(table: np.ndarray, input_feats, demo_feats_list,
         gs += w_ranknet * ranknet_grad(scores, ranks)
 
     grad = np.zeros_like(table)
-    gu = vmat.T @ gs
-    ids, weights = input_feats
-    if len(ids):
-        np.add.at(grad, ids, weights[:, None] * gu[None, :])
-    for gsi, (dids, dweights) in zip(gs, demo_feats_list):
-        if len(dids):
-            np.add.at(grad, dids, dweights[:, None] * (gsi * u)[None, :])
+    scatter_feats(grad, input_feats, vmat.T @ gs)
+    for gsi, feats in zip(gs, demo_feats_list):
+        scatter_feats(grad, feats, gsi * u)
     return loss, grad
 
 
@@ -265,26 +325,35 @@ class RetrieverTrainConfig:
             raise ValueError("bad retriever training config")
 
 
-def _set_features(model: BiEncoder, cand_set: ScoredCandidateSet):
-    buckets = model.config.vocab_buckets
+def _set_features(features: FeatureCache, cand_set: ScoredCandidateSet):
     inp = cand_set.input
-    input_feats = text_features(input_text(inp.query.text, inp.passage.text), buckets)
-    demo_feats = [text_features(demo_text(c.demo), buckets) for c in cand_set.candidates]
+    input_feats = features(input_text(inp.query.text, inp.passage.text))
+    demo_feats = [features(demo_text(c.demo)) for c in cand_set.candidates]
     return input_feats, demo_feats
 
 
 def train_retriever(model: BiEncoder, sets: list[ScoredCandidateSet],
                     cfg: RetrieverTrainConfig = RetrieverTrainConfig()) -> BiEncoder:
-    """Seeded gradient descent; one step per candidate set; leaves input model untouched."""
+    """Seeded gradient descent; one step per candidate set; leaves input model untouched.
+
+    Features are built once per distinct text, and each step updates only
+    the table rows its set's texts read.
+    """
     if not sets:
         raise ValueError("no training sets")
-    trained = model.copy()
+    # on the float32 grid from the start, as sgd_rows leaves untouched rows alone
+    trained = BiEncoder(model.config, snap_f32(model.embeddings))
     rng = np.random.default_rng(cfg.seed)
-    prepared = [(s, *_set_features(model, s), s.positive_index(), s.ranks()) for s in sets]
+    features = FeatureCache(model.config.vocab_buckets)
+    prepared = []
+    for s in sets:
+        input_feats, demo_feats = _set_features(features, s)
+        rows = feats_rows([input_feats, *demo_feats])
+        prepared.append((s, input_feats, demo_feats, s.positive_index(), s.ranks(), rows))
     for epoch in range(cfg.epochs):
         total = 0.0
         for idx in rng.permutation(len(prepared)):
-            cand_set, input_feats, demo_feats, pos, ranks = prepared[idx]
+            cand_set, input_feats, demo_feats, pos, ranks, rows = prepared[idx]
             loss, grad = set_loss_and_grad(trained.embeddings, input_feats,
                                            demo_feats, pos, ranks, cfg.lam)
             if not np.isfinite(loss):
@@ -293,8 +362,7 @@ def train_retriever(model: BiEncoder, sets: list[ScoredCandidateSet],
                     f"{cand_set.input.input_id}: {loss}"
                 )
             total += loss
-            trained.embeddings -= cfg.learning_rate * grad
-            trained.embeddings = snap_f32(trained.embeddings)
+            sgd_rows(trained.embeddings, grad, rows, cfg.learning_rate)
         logger.info("retriever epoch %d mean loss %.6f", epoch, total / len(prepared))
     return trained
 
@@ -302,8 +370,9 @@ def train_retriever(model: BiEncoder, sets: list[ScoredCandidateSet],
 def retriever_corpus_loss(model: BiEncoder, sets: list[ScoredCandidateSet],
                           lam: float) -> float:
     total = 0.0
+    features = FeatureCache(model.config.vocab_buckets)
     for s in sets:
-        input_feats, demo_feats = _set_features(model, s)
+        input_feats, demo_feats = _set_features(features, s)
         loss, _ = set_loss_and_grad(model.embeddings, input_feats, demo_feats,
                                     s.positive_index(), s.ranks(), lam)
         total += loss

@@ -9,6 +9,7 @@ tests and desk experiments, and an HTTP client for a real model server.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import random
 import threading
@@ -24,6 +25,8 @@ import requests
 
 from .bm25 import tokenize
 from .data import Demonstration, Label, LABEL_SPACE, TrainingInput
+
+logger = logging.getLogger(__name__)
 
 ENV_SCORER_URL = "DEMORANK_SCORER_URL"
 
@@ -210,14 +213,19 @@ class MockScorer:
 # HTTP backend
 
 SCORE_PATH = "/v1/score"
+# 4xx statuses that say "try again later" rather than "this request is wrong".
+RETRYABLE_4XX = (408, 429)
 
 
 class HttpScorer:
     """Client for a scorer server speaking the /v1/score JSON protocol.
 
-    Retries timeouts, connection failures, non-2xx statuses, and malformed
-    bodies with exponential backoff plus jitter; after `max_retries` attempts
-    raises BackendUnavailableError.  A semaphore bounds in-flight requests.
+    Retries timeouts, connection failures, 5xx, 408 and 429 statuses, other
+    non-2xx statuses outside 4xx, and malformed bodies with exponential
+    backoff plus jitter, logging each retry at WARNING; after `max_retries`
+    attempts raises BackendUnavailableError.  Any other 4xx status raises
+    BackendError at once, since resending the same request cannot fix it.
+    A semaphore bounds in-flight requests.
     """
 
     def __init__(self, base_url: str, timeout: float = 10.0, max_retries: int = 3,
@@ -264,18 +272,25 @@ class HttpScorer:
         for attempt in range(self.max_retries):
             if attempt:
                 delay = self.backoff_base * (2 ** (attempt - 1))
+                logger.warning("scorer at %s: attempt %d of %d failed (%s); retrying",
+                               url, attempt, self.max_retries, cause)
                 time.sleep(delay + random.uniform(0, 0.1 * delay))
             try:
                 with self._gate:
                     resp = self._session.post(url, json=body, timeout=self.timeout)
-                if not 200 <= resp.status_code < 300:
-                    last_err = BackendError(f"status {resp.status_code}")
+                status = resp.status_code
+                if 400 <= status < 500 and status not in RETRYABLE_4XX:
+                    raise BackendError(
+                        f"scorer at {url} rejected the request with status {status} "
+                        f"(query={request.input_query[:60]!r})")
+                if not 200 <= status < 300:
+                    last_err = BackendError(f"status {status}")
+                    cause = f"status {status}"
                     continue
                 return self._parse(resp, request)
-            except MalformedResponseError as exc:
+            except (MalformedResponseError, requests.RequestException) as exc:
                 last_err = exc
-            except requests.RequestException as exc:
-                last_err = exc
+                cause = type(exc).__name__
         raise BackendUnavailableError(
             f"scorer at {url} failed after {self.max_retries} attempts "
             f"(query={request.input_query[:60]!r}): {last_err}"

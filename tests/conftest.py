@@ -1,10 +1,11 @@
-"""Shared fixtures: the desk-scale pipeline state behind the regression pins.
+"""Shared fixtures: the toy and desk-scale pipeline states behind the pins.
 
-The desk_state fixture rebuilds the default synthetic experiment once per
-session (seeds fixed, mock scorer with the ground-truth relevance oracle) and
-exposes every intermediate the pinned regression tests need.  The acceptance
-criteria summary collected by record_criterion is printed after the test
-summary so each criterion shows one pass/fail line per run.
+toy_chain is a small seeded chain shared by the training tests.  desk_state
+rebuilds the default synthetic experiment once per session (seeds fixed, mock
+scorer with the ground-truth relevance oracle) and exposes every intermediate
+the pinned regression tests need.  The acceptance criteria summary collected
+by record_criterion is printed after the test summary so each criterion shows
+one pass/fail line per run.
 """
 
 import random
@@ -100,6 +101,28 @@ class DeskState:
                         good += scores[i] > scores[j]
                         total += 1
         return good / total
+
+
+@pytest.fixture(scope="module")
+def toy_chain():
+    """Small end-to-end chain shared by the training tests: synthetic data,
+    a pool, an untrained retriever, and dependency samples built from it."""
+    synth = generate_synthetic_dataset(SynthParams(
+        topics=5, vocab=60, train_queries=10, test_queries=4,
+        passages_per_query=6, tokens_per_text=8), 7)
+    pool = build_pool(synth.train, 13)
+    inputs, _ = build_training_inputs(synth.train, 17)
+    backend = CachedScorer(MockScorer(relevance_fn=synth.relevance_fn()))
+    template = PromptTemplate()
+    config = EncoderConfig(vocab_buckets=256, dim=16)
+    retriever = BiEncoder.init(config, 23)
+    index = DenseIndex.build(retriever, pool)
+    retrieved = [retrieve_topD(index, retriever, inp, 8) for inp in inputs]
+    samples = construct_samples_for_corpus(inputs, retrieved, backend, template, 2, 31)
+    return {
+        "config": config, "pool": pool, "inputs": inputs, "backend": backend,
+        "template": template, "retrieved": retrieved, "samples": samples,
+    }
 
 
 @pytest.fixture(scope="session")

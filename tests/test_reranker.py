@@ -33,14 +33,8 @@ from demorank.reranker import (
     train_reranker,
     write_samples,
 )
-from demorank.retriever import (
-    BiEncoder,
-    DenseIndex,
-    EncoderConfig,
-    retrieve_topD,
-    snap_f32,
-)
-from demorank.scoring import CachedScorer, MockScorer, PromptTemplate, score_list
+from demorank.retriever import EncoderConfig, snap_f32
+from demorank.scoring import MockScorer, PromptTemplate, score_list
 from demorank.synth import SynthParams, generate_synthetic_dataset
 
 WORDS = [
@@ -84,28 +78,6 @@ class CountingScorer:
     def distribution(self, request):
         self.calls += 1
         return self.backend.distribution(request)
-
-
-@pytest.fixture(scope="module")
-def toy_chain():
-    """Small end-to-end chain shared by the training tests: synthetic data,
-    a pool, an untrained retriever, and dependency samples built from it."""
-    synth = generate_synthetic_dataset(SynthParams(
-        topics=5, vocab=60, train_queries=10, test_queries=4,
-        passages_per_query=6, tokens_per_text=8), 7)
-    pool = build_pool(synth.train, 13)
-    inputs, _ = build_training_inputs(synth.train, 17)
-    backend = CachedScorer(MockScorer(relevance_fn=synth.relevance_fn()))
-    template = PromptTemplate()
-    config = EncoderConfig(vocab_buckets=256, dim=16)
-    retriever = BiEncoder.init(config, 23)
-    index = DenseIndex.build(retriever, pool)
-    retrieved = [retrieve_topD(index, retriever, inp, 8) for inp in inputs]
-    samples = construct_samples_for_corpus(inputs, retrieved, backend, template, 2, 31)
-    return {
-        "config": config, "pool": pool, "inputs": inputs, "backend": backend,
-        "template": template, "retrieved": retrieved, "samples": samples,
-    }
 
 
 class TestCrossEncoderInit:
@@ -508,6 +480,10 @@ class TestTrainReranker:
         trained = train_reranker(model, toy_chain["samples"], cfg)
         for arr in (trained.embeddings, trained.w1, trained.b1, trained.w2, trained.b2):
             np.testing.assert_array_equal(arr, snap_f32(arr))
+        # also from an embedding table off the grid, including rows no step touches
+        model.embeddings = model.embeddings + 1e-10
+        trained = train_reranker(model, toy_chain["samples"], cfg)
+        np.testing.assert_array_equal(trained.embeddings, snap_f32(trained.embeddings))
 
 
 class TestDeskScaleReranker:

@@ -11,6 +11,8 @@ from demorank.retriever import (
     BiEncoder,
     DenseIndex,
     EncoderConfig,
+    EncodingCache,
+    FeatureCache,
     RetrieverTrainConfig,
     ScoredCandidate,
     ScoredCandidateSet,
@@ -21,6 +23,7 @@ from demorank.retriever import (
     demo_text,
     encode,
     encode_feats,
+    feats_rows,
     fnv1a64,
     input_text,
     load_scored_sets,
@@ -29,7 +32,9 @@ from demorank.retriever import (
     ranknet_set_loss_and_grad,
     retrieve_topD,
     retriever_corpus_loss,
+    scatter_feats,
     set_loss_and_grad,
+    sgd_rows,
     similarity,
     snap_f32,
     text_features,
@@ -127,6 +132,44 @@ class TestEncode:
         table = np.ones((8, 4))
         out = encode_feats(table, (np.empty(0, dtype=np.intp), np.empty(0)))
         np.testing.assert_array_equal(out, np.zeros(4))
+
+
+class TestSparseKernels:
+    def test_scatter_matches_add_at_bit_for_bit(self):
+        rng = np.random.default_rng(42)
+        grad = np.zeros((64, 8))
+        ref = np.zeros((64, 8))
+        for _ in range(50):
+            feats = text_features(random_text(rng), 64)
+            row = rng.normal(size=8)
+            scatter_feats(grad, feats, row)
+            np.add.at(ref, feats[0], feats[1][:, None] * row[None, :])
+        assert grad.tobytes() == ref.tobytes()
+
+    def test_row_sparse_step_matches_full_table_step(self):
+        rng = np.random.default_rng(42)
+        table = snap_f32(rng.uniform(-1.0, 1.0, size=(64, 8)))
+        feats = [text_features(random_text(rng), 64) for _ in range(5)]
+        grad = np.zeros_like(table)
+        for f in feats:
+            scatter_feats(grad, f, rng.normal(size=8))
+        rows = feats_rows(feats)
+        np.testing.assert_array_equal(rows, np.unique(np.concatenate([f[0] for f in feats])))
+        assert len(rows) < len(table)
+        sparse = table.copy()
+        sgd_rows(sparse, grad, rows, 0.05)
+        assert sparse.tobytes() == snap_f32(table - 0.05 * grad).tobytes()
+
+    def test_caches_compute_each_text_once(self):
+        table = BiEncoder.init(EncoderConfig(vocab_buckets=64, dim=8), 42).embeddings
+        features = FeatureCache(64)
+        enc = EncodingCache(table, features)
+        first = enc("reef coral reef")
+        assert enc("reef coral reef") is first
+        assert features("reef coral reef") is features("reef coral reef")
+        np.testing.assert_array_equal(
+            first, encode_feats(table, text_features("reef coral reef", 64)))
+        np.testing.assert_array_equal(enc("!!!"), np.zeros(8))
 
 
 class TestSimilarity:
@@ -406,6 +449,10 @@ class TestTrainRetriever:
         sets = self.make_sets(rng)
         model = BiEncoder.init(EncoderConfig(vocab_buckets=64, dim=8), 42)
         trained = train_retriever(model, sets, RetrieverTrainConfig(seed=7))
+        np.testing.assert_array_equal(trained.embeddings, snap_f32(trained.embeddings))
+        # also from a table off the grid, including rows no step touches
+        off_grid = BiEncoder(model.config, model.embeddings + 1e-10)
+        trained = train_retriever(off_grid, sets, RetrieverTrainConfig(seed=7))
         np.testing.assert_array_equal(trained.embeddings, snap_f32(trained.embeddings))
 
     def test_rejects_empty_training_set(self):

@@ -11,6 +11,7 @@ import pytest
 
 from demorank.data import Demonstration, Label, Passage, Query, TrainingInput
 from demorank.scoring import (
+    BackendError,
     BackendUnavailableError,
     CachedScorer,
     HttpScorer,
@@ -374,6 +375,50 @@ class TestHttpScorer:
 
     def test_retries_server_error_then_succeeds(self):
         script = [(500, {}), (200, {"p": {"Yes": 1, "No": 1}})]
+        with scripted_server(script) as (url, seen):
+            scorer = HttpScorer(url, max_retries=3, backoff_base=0.001)
+            dist = scorer.distribution(request([], "iq", "ip"))
+            assert len(seen) == 2
+        assert dist.p_yes == pytest.approx(0.5)
+
+    def test_retry_logged_at_warning_with_attempt_and_cause(self, caplog):
+        script = [(500, {}), (200, {"p": {"Yes": 1, "No": 1}})]
+        with scripted_server(script) as (url, seen):
+            scorer = HttpScorer(url, max_retries=3, backoff_base=0.001)
+            with caplog.at_level("WARNING", logger="demorank.scoring"):
+                scorer.distribution(request([], "iq", "ip"))
+            assert len(seen) == 2
+        retries = [r for r in caplog.records if r.name == "demorank.scoring"]
+        assert len(retries) == 1
+        assert retries[0].levelname == "WARNING"
+        assert "attempt 1 of 3" in retries[0].getMessage()
+        assert "status 500" in retries[0].getMessage()
+
+    def test_connection_error_retry_names_exception_class(self, caplog):
+        scorer = HttpScorer("http://127.0.0.1:9", timeout=0.2, max_retries=2,
+                            backoff_base=0.001)
+        with caplog.at_level("WARNING", logger="demorank.scoring"):
+            with pytest.raises(BackendUnavailableError):
+                scorer.distribution(request([], "iq", "ip"))
+        messages = [r.getMessage() for r in caplog.records if r.name == "demorank.scoring"]
+        assert len(messages) == 1
+        assert "attempt 1 of 2" in messages[0] and "ConnectionError" in messages[0]
+
+    @pytest.mark.parametrize("status", [400, 401, 404, 422])
+    def test_client_error_is_sent_once(self, status, caplog):
+        with scripted_server([(status, {"error": "bad request"}),
+                              (200, {"p": {"Yes": 1, "No": 1}})]) as (url, seen):
+            scorer = HttpScorer(url, max_retries=3, backoff_base=0.001)
+            with caplog.at_level("WARNING", logger="demorank.scoring"):
+                with pytest.raises(BackendError, match=f"status {status}") as excinfo:
+                    scorer.distribution(request([], "iq", "ip"))
+            assert len(seen) == 1
+        assert not isinstance(excinfo.value, BackendUnavailableError)
+        assert not [r for r in caplog.records if r.name == "demorank.scoring"]
+
+    @pytest.mark.parametrize("status", [408, 429])
+    def test_timeout_and_rate_limit_statuses_are_retried(self, status):
+        script = [(status, {}), (200, {"p": {"Yes": 1, "No": 1}})]
         with scripted_server(script) as (url, seen):
             scorer = HttpScorer(url, max_retries=3, backoff_base=0.001)
             dist = scorer.distribution(request([], "iq", "ip"))

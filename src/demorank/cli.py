@@ -1,12 +1,22 @@
 """Command-line pipeline driver.
 
-Every stage writes its artifacts plus a manifest recording the config digest
-and the content hashes of everything it read and wrote.  Rerunning a stage
-whose manifest still matches is a no-op (unless --force); consuming an
-artifact produced under a different config digest is an error.
+The pipeline is a table of stages (`stages()`): each names the artifacts it
+reads, the files it writes and a function that builds them.  One runner,
+`run_stage`, checks every input (present, and produced under the current
+config digest with the content its producer's manifest records), skips the
+stage when its own manifest still matches (unless --force), builds the
+outputs under temp names, renames them into place and writes the stage's
+manifest: the config digest and the SHA-256 of everything the stage read and
+wrote.
 
-Exit codes: 0 success, 2 configuration error, 3 missing or stale artifact,
-4 scorer backend failure.
+A command runs its stages in table order.  `build-pool` first runs the `data`
+stage, which writes the synthetic dataset under `data/` with its own manifest
+(`manifests/data.manifest.json`); `rank` and `evaluate` run one stage per
+policy (`rank-<policy>`, `evaluate-<policy>`), so a run file or report that
+changed since it was written is caught like any other stale artifact.
+
+Exit codes: 0 success, 2 configuration error, 3 missing, stale or unreadable
+artifact (a corrupt --score-cache included), 4 scorer backend failure.
 """
 
 from __future__ import annotations
@@ -17,35 +27,26 @@ import logging
 import os
 import sys
 import time
+from dataclasses import dataclass
+from functools import cached_property, partial
 from hashlib import sha256
 from pathlib import Path
-
-import numpy as np
+from typing import Callable
 
 from . import bm25, checkpoint, data, pipeline, reranker, retriever, scoring, synth
 from .config import ConfigError, ExperimentConfig, load_config
 
-logger = logging.getLogger("demorank")
+
+class ArtifactError(RuntimeError):
+    """An input artifact is missing, stale or unreadable (exit code 3)."""
 
 
-class MissingArtifactError(RuntimeError):
-    pass
-
-
-class StaleArtifactError(RuntimeError):
-    pass
-
-
-# artifact -> the command that produces it, for error messages
-PRODUCERS = {
-    "pool.jsonl": "build-pool",
-    "training_inputs.jsonl": "build-pool",
-    "candidates.jsonl": "mine-candidates",
-    "scored.jsonl": "score-candidates",
-    "retriever.ckpt": "train-retriever",
-    "samples.jsonl": "build-samples",
-    "reranker.ckpt": "train-reranker",
-}
+# Dataset files by artifact key: under data/ in the workdir when the data is
+# synthetic, otherwise at the config's data.<key>_path.
+DATA_KEYS = tuple(f"{split}_{kind}" for split in ("train", "test")
+                  for kind in ("queries", "passages", "qrels"))
+DATA_FILES = {key: f"data/{key}.{'tsv' if key.endswith('qrels') else 'jsonl'}"
+              for key in DATA_KEYS} | {"topics": "data/topics.json"}
 
 
 def _hash_file(path: Path) -> str:
@@ -54,12 +55,6 @@ def _hash_file(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 def atomic_produce(path: Path, producer) -> None:
@@ -73,15 +68,19 @@ class Workspace:
     def __init__(self, workdir: Path, config: ExperimentConfig, config_dir: Path):
         self.root = workdir
         self.config = config
-        self.config_dir = config_dir
         self.digest = config.digest()
-        (self.root / "manifests").mkdir(parents=True, exist_ok=True)
-        (self.root / "data").mkdir(exist_ok=True)
-        (self.root / "runs").mkdir(exist_ok=True)
-        (self.root / "reports").mkdir(exist_ok=True)
+        synthetic = config.data.source == "synthetic"
+        # Dataset files from outside the workdir: no stage produces them.
+        self.external = {} if synthetic else {
+            key: config_dir / getattr(config.data, f"{key}_path") for key in DATA_KEYS}
+        # The mock scorer's ground-truth oracle reads the topics and both splits.
+        self.oracle = (("topics", *DATA_KEYS)
+                       if synthetic and config.scorer.backend == "mock" else ())
+        for sub in ("manifests", "data", "runs", "reports"):
+            (self.root / sub).mkdir(parents=True, exist_ok=True)
 
     def path(self, rel: str) -> Path:
-        return self.root / rel
+        return self.external.get(rel) or self.root / DATA_FILES.get(rel, rel)
 
     def manifest_path(self, name: str) -> Path:
         return self.root / "manifests" / f"{name}.manifest.json"
@@ -104,229 +103,178 @@ class Workspace:
             "inputs": {k: _hash_file(p) for k, p in inputs.items()},
             "outputs": {k: _hash_file(p) for k, p in outputs.items()},
         }
-        atomic_write_text(self.manifest_path(name),
-                          json.dumps(manifest, sort_keys=True, indent=2))
+        text = json.dumps(manifest, sort_keys=True, indent=2)
+        atomic_produce(self.manifest_path(name),
+                       lambda p: p.write_text(text, encoding="utf-8"))
 
     def up_to_date(self, name: str, inputs: dict[str, Path],
                    outputs: dict[str, Path]) -> bool:
         manifest = self.read_manifest(name)
         if manifest is None or manifest.get("config_digest") != self.digest:
             return False
-        recorded_in = manifest.get("inputs", {})
-        if set(recorded_in) != set(inputs):
-            return False
-        for key, p in inputs.items():
-            if not p.exists() or _hash_file(p) != recorded_in[key]:
+        for recorded, paths in ((manifest.get("inputs", {}), inputs),
+                                (manifest.get("outputs", {}), outputs)):
+            if set(recorded) != set(paths):
                 return False
-        recorded_out = manifest.get("outputs", {})
-        if set(recorded_out) != set(outputs):
-            return False
-        for key, p in outputs.items():
-            if not p.exists() or _hash_file(p) != recorded_out[key]:
-                return False
+            for key, p in paths.items():
+                if not p.exists() or _hash_file(p) != recorded[key]:
+                    return False
         return True
 
     def require(self, rel: str) -> Path:
-        """An artifact this command consumes: present and produced under this config."""
+        """An artifact a stage consumes: present and produced under this config."""
         p = self.path(rel)
-        producer = PRODUCERS.get(rel)
+        stage = None if rel in self.external else PRODUCERS.get(rel)
         if not p.exists():
-            hint = f"; run '{producer}' first" if producer else ""
-            raise MissingArtifactError(f"missing artifact {rel}{hint}")
-        if producer:
-            manifest = self.read_manifest(producer)
+            hint = f"; run '{stage.command}' first" if stage else ""
+            raise ArtifactError(f"missing {p}{hint}")
+        if stage:
+            rerun = f"rerun '{stage.command}'"
+            manifest = self.read_manifest(stage.name)
             if manifest is None:
-                raise StaleArtifactError(
-                    f"artifact {rel} has no manifest; rerun '{producer}'")
+                raise ArtifactError(f"artifact {rel} has no manifest; {rerun}")
             if manifest.get("config_digest") != self.digest:
-                raise StaleArtifactError(
+                raise ArtifactError(
                     f"artifact {rel} was produced under config digest "
                     f"{manifest.get('config_digest', '?')[:12]}, current is "
-                    f"{self.digest[:12]}; rerun '{producer}' (or --force the chain)")
+                    f"{self.digest[:12]}; {rerun} (or --force the chain)")
             recorded = manifest.get("outputs", {}).get(rel)
             if recorded is not None and _hash_file(p) != recorded:
-                raise StaleArtifactError(
-                    f"artifact {rel} changed since '{producer}' wrote it; rerun '{producer}'")
+                raise ArtifactError(
+                    f"artifact {rel} changed since '{stage.command}' wrote it; {rerun}")
         return p
 
 
 # ---------------------------------------------------------------------------
-# Data and backend assembly
+# What the stages of one command share
 
 
-def _data_paths(ws: Workspace) -> dict[str, Path]:
-    cfg = ws.config.data
-    if cfg.source == "synthetic":
-        d = ws.path("data")
-        return {
-            "train_queries": d / "train_queries.jsonl",
-            "train_passages": d / "train_passages.jsonl",
-            "train_qrels": d / "train_qrels.tsv",
-            "test_queries": d / "test_queries.jsonl",
-            "test_passages": d / "test_passages.jsonl",
-            "test_qrels": d / "test_qrels.tsv",
-        }
-    base = ws.config_dir
-    return {
-        "train_queries": base / cfg.train_queries_path,
-        "train_passages": base / cfg.train_passages_path,
-        "train_qrels": base / cfg.train_qrels_path,
-        "test_queries": base / cfg.test_queries_path,
-        "test_passages": base / cfg.test_passages_path,
-        "test_qrels": base / cfg.test_qrels_path,
-    }
+class Session:
+    """Artifacts and the scorer, each loaded once per command when first used.
 
+    Stages read only what `run_stage` has required, so loading from
+    `ws.path` is safe here.
+    """
 
-def _materialize_synthetic(ws: Workspace) -> None:
-    paths = _data_paths(ws)
-    topics_path = ws.path("data") / "topics.json"
-    if all(p.exists() for p in paths.values()) and topics_path.exists():
-        return
-    params = ws.config.data.synth_params()
-    generated = synth.generate_synthetic_dataset(params, ws.config.seeds.data)
-    atomic_produce(paths["train_queries"],
-                   lambda p: data.write_jsonl_texts(p, generated.train.queries))
-    atomic_produce(paths["train_passages"],
-                   lambda p: data.write_jsonl_texts(p, generated.train.passages))
-    atomic_produce(paths["train_qrels"],
-                   lambda p: data.write_qrels(p, generated.train.judgments))
-    atomic_produce(paths["test_queries"],
-                   lambda p: data.write_jsonl_texts(p, generated.test.queries))
-    atomic_produce(paths["test_passages"],
-                   lambda p: data.write_jsonl_texts(p, generated.test.passages))
-    atomic_produce(paths["test_qrels"],
-                   lambda p: data.write_qrels(p, generated.test.judgments))
-    atomic_produce(topics_path, lambda p: synth.write_topics(p, generated))
+    def __init__(self, ws: Workspace, score_cache: Path | None):
+        self.ws = ws
+        self.score_cache = score_cache
 
+    def _split(self, split: str) -> data.Dataset:
+        return data.load_dataset(*(self.ws.path(f"{split}_{kind}")
+                                   for kind in ("queries", "passages", "qrels")), split)
 
-def _load_split(ws: Workspace, split: str) -> data.Dataset:
-    paths = _data_paths(ws)
-    for key in (f"{split}_queries", f"{split}_passages", f"{split}_qrels"):
-        if not paths[key].exists():
-            raise MissingArtifactError(
-                f"missing data file {paths[key]}; run 'build-pool' first"
-                if ws.config.data.source == "synthetic"
-                else f"missing data file {paths[key]}")
-    try:
-        return data.load_dataset(paths[f"{split}_queries"], paths[f"{split}_passages"],
-                                 paths[f"{split}_qrels"], split)
-    except data.CorpusError as exc:
-        raise ConfigError(str(exc)) from exc
+    @cached_property
+    def train(self) -> data.Dataset:
+        return self._split("train")
 
+    @cached_property
+    def test(self) -> data.Dataset:
+        return self._split("test")
 
-def _relevance_fn(ws: Workspace):
-    topics_path = ws.path("data") / "topics.json"
-    if ws.config.data.source != "synthetic" or not topics_path.exists():
-        return None
-    q_topics, p_topics = synth.load_topics(topics_path)
-    datasets = [_load_split(ws, "train"), _load_split(ws, "test")]
-    return synth.relevance_fn_from_files(q_topics, p_topics, datasets)
+    @cached_property
+    def pool(self) -> data.DemonstrationPool:
+        return data.load_pool(self.ws.path("pool.jsonl"))
 
+    @cached_property
+    def training_inputs(self) -> list[data.TrainingInput]:
+        return data.load_training_inputs(self.ws.path("training_inputs.jsonl"))
 
-def build_backend(ws: Workspace, cache_path: Path | None) -> scoring.CachedScorer:
-    sc = ws.config.scorer
-    if sc.backend == "mock":
-        inner = scoring.MockScorer(sc.mock_weights(), _relevance_fn(ws),
-                                   sc.mock_relevance_threshold)
-    else:
-        url = scoring.resolve_scorer_url(sc.endpoint or None)
-        if not url:
-            raise ConfigError(
-                "scorer.backend is http but no endpoint is configured "
-                f"(set scorer.endpoint or ${scoring.ENV_SCORER_URL})")
-        inner = scoring.HttpScorer(url, timeout=sc.timeout_sec,
-                                   max_retries=sc.max_retries,
-                                   max_in_flight=sc.max_in_flight)
-    cached = scoring.CachedScorer(inner)
-    if cache_path and cache_path.exists():
-        cached.cache.load(cache_path)
-    return cached
+    @cached_property
+    def retriever_model(self) -> retriever.BiEncoder:
+        return checkpoint.load_retriever(self.ws.path("retriever.ckpt"))[0]
 
+    @cached_property
+    def dense_index(self) -> retriever.DenseIndex:
+        return retriever.DenseIndex.build(self.retriever_model, self.pool)
 
-def _save_cache(backend: scoring.CachedScorer, cache_path: Path | None) -> None:
-    if cache_path:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_produce(cache_path, lambda p: backend.cache.save(p))
+    @cached_property
+    def reranker_model(self) -> reranker.CrossEncoder:
+        return checkpoint.load_reranker(self.ws.path("reranker.ckpt"))[0]
+
+    @cached_property
+    def backend(self) -> scoring.CachedScorer:
+        sc = self.ws.config.scorer
+        if sc.backend == "mock":
+            oracle = None
+            if self.ws.oracle:
+                q_topics, p_topics = synth.load_topics(self.ws.path("topics"))
+                oracle = synth.relevance_fn_from_files(q_topics, p_topics,
+                                                       [self.train, self.test])
+            inner = scoring.MockScorer(sc.mock_weights(), oracle,
+                                       sc.mock_relevance_threshold)
+        else:
+            url = scoring.resolve_scorer_url(sc.endpoint or None)
+            if not url:
+                raise ConfigError(
+                    "scorer.backend is http but no endpoint is configured "
+                    f"(set scorer.endpoint or ${scoring.ENV_SCORER_URL})")
+            inner = scoring.HttpScorer(url, timeout=sc.timeout_sec,
+                                       max_retries=sc.max_retries,
+                                       max_in_flight=sc.max_in_flight)
+        cached = scoring.CachedScorer(inner)
+        if self.score_cache and self.score_cache.exists():
+            try:
+                cached.cache.load(self.score_cache)
+            except (OSError, ValueError) as exc:
+                raise ArtifactError(
+                    f"score cache {self.score_cache} is unreadable ({exc}); "
+                    "delete it or pass another --score-cache") from exc
+        return cached
+
+    def save_cache(self) -> None:
+        """Write the score cache, if a stage of this command built the scorer."""
+        backend = self.__dict__.get("backend")  # set once the property ran
+        if backend is not None and self.score_cache:
+            self.score_cache.parent.mkdir(parents=True, exist_ok=True)
+            atomic_produce(self.score_cache, backend.cache.save)
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Stage build functions: each writes its outputs to the temp paths in `out` and
+# returns the status line.
 
 
-def cmd_print_config(ws: Workspace, args) -> int:
-    print(ws.config.to_json())
-    return 0
+def _build_data(s: Session, out: dict[str, Path]) -> str:
+    generated = synth.generate_synthetic_dataset(s.ws.config.data.synth_params(),
+                                                 s.ws.config.seeds.data)
+    for split, ds in (("train", generated.train), ("test", generated.test)):
+        data.write_jsonl_texts(out[f"{split}_queries"], ds.queries)
+        data.write_jsonl_texts(out[f"{split}_passages"], ds.passages)
+        data.write_qrels(out[f"{split}_qrels"], ds.judgments)
+    synth.write_topics(out["topics"], generated)
+    return (f"{len(generated.train.queries)} train and "
+            f"{len(generated.test.queries)} test queries")
 
 
-def cmd_build_pool(ws: Workspace, args) -> int:
-    if ws.config.data.source == "synthetic":
-        _materialize_synthetic(ws)
-    train = _load_split(ws, "train")
-    paths = _data_paths(ws)
-    inputs = {k: paths[k] for k in ("train_queries", "train_passages", "train_qrels")}
-    outputs = {
-        "pool.jsonl": ws.path("pool.jsonl"),
-        "training_inputs.jsonl": ws.path("training_inputs.jsonl"),
-        "training_inputs.report.json": ws.path("training_inputs.report.json"),
-    }
-    if not args.force and ws.up_to_date("build-pool", inputs, outputs):
-        print("build-pool: up to date")
-        return 0
-    try:
-        pool = data.build_pool(train, ws.config.seeds.pool)
-        training_inputs, report = data.build_training_inputs(
-            train, ws.config.seeds.training_inputs)
-    except data.CorpusError as exc:
-        raise ConfigError(str(exc)) from exc
-    atomic_produce(outputs["pool.jsonl"], lambda p: data.write_pool(p, pool))
-    atomic_produce(outputs["training_inputs.jsonl"],
-                   lambda p: data.write_training_inputs(p, training_inputs))
-    atomic_write_text(outputs["training_inputs.report.json"], json.dumps({
+def _build_pool(s: Session, out: dict[str, Path]) -> str:
+    seeds = s.ws.config.seeds
+    pool = data.build_pool(s.train, seeds.pool)
+    training_inputs, report = data.build_training_inputs(s.train, seeds.training_inputs)
+    data.write_pool(out["pool.jsonl"], pool)
+    data.write_training_inputs(out["training_inputs.jsonl"], training_inputs)
+    out["training_inputs.report.json"].write_text(json.dumps({
         "total_queries": report.total_queries,
         "built_queries": report.built_queries,
         "skipped": report.skipped,
-    }, sort_keys=True, indent=2))
-    ws.write_manifest("build-pool", "build-pool", inputs, outputs)
-    print(f"build-pool: {len(pool)} demos, {len(training_inputs)} training inputs "
-          f"({len(report.skipped)} queries skipped)")
-    return 0
+    }, sort_keys=True, indent=2), encoding="utf-8")
+    return (f"{len(pool)} demos, {len(training_inputs)} training inputs "
+            f"({len(report.skipped)} queries skipped)")
 
 
-def _load_pool_and_inputs(ws: Workspace):
-    pool_path = ws.require("pool.jsonl")
-    inputs_path = ws.require("training_inputs.jsonl")
-    return data.load_pool(pool_path), data.load_training_inputs(inputs_path), pool_path, inputs_path
-
-
-def cmd_mine_candidates(ws: Workspace, args) -> int:
-    pool, training_inputs, pool_path, inputs_path = _load_pool_and_inputs(ws)
-    inputs = {"pool.jsonl": pool_path, "training_inputs.jsonl": inputs_path}
-    outputs = {"candidates.jsonl": ws.path("candidates.jsonl")}
-    if not args.force and ws.up_to_date("mine-candidates", inputs, outputs):
-        print("mine-candidates: up to date")
-        return 0
-    index = bm25.build_pool_index(pool)
-    params = ws.config.bm25.params()
-    b = ws.config.retriever.candidates_b
-
-    def produce(tmp: Path) -> None:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for ordinal, inp in enumerate(training_inputs):
-                try:
-                    cands = bm25.mine_candidates(pool, index, inp, b,
-                                                 ws.config.seeds.mining + ordinal,
-                                                 params)
-                except bm25.PoolTooSmallError as exc:
-                    raise ConfigError(str(exc)) from exc
-                fh.write(json.dumps({
-                    "input_id": inp.input_id,
-                    "demo_refs": [list(d.ref) for d in cands],
-                }) + "\n")
-
-    atomic_produce(outputs["candidates.jsonl"], produce)
-    ws.write_manifest("mine-candidates", "mine-candidates", inputs, outputs)
-    print(f"mine-candidates: {len(training_inputs)} inputs x {2 * b} candidates")
-    return 0
+def _mine_candidates(s: Session, out: dict[str, Path]) -> str:
+    cfg = s.ws.config
+    index = bm25.build_pool_index(s.pool)
+    b = cfg.retriever.candidates_b
+    with open(out["candidates.jsonl"], "w", encoding="utf-8") as fh:
+        for ordinal, inp in enumerate(s.training_inputs):
+            cands = bm25.mine_candidates(s.pool, index, inp, b, cfg.seeds.mining + ordinal,
+                                         cfg.bm25.params())
+            fh.write(json.dumps({
+                "input_id": inp.input_id,
+                "demo_refs": [list(d.ref) for d in cands],
+            }) + "\n")
+    return f"{len(s.training_inputs)} inputs x {2 * b} candidates"
 
 
 def _load_candidates(path: Path, training_inputs, pool):
@@ -341,249 +289,218 @@ def _load_candidates(path: Path, training_inputs, pool):
             obj = json.loads(line)
             inp = by_id.get(obj["input_id"])
             if inp is None:
-                raise StaleArtifactError(
+                raise ArtifactError(
                     f"candidates.jsonl:{lineno} references unknown input; rerun the chain")
             try:
                 demos = [by_ref[tuple(r)] for r in obj["demo_refs"]]
             except KeyError as exc:
-                raise StaleArtifactError(
+                raise ArtifactError(
                     f"candidates.jsonl:{lineno} references unknown demo {exc}") from exc
             out.append((inp, demos))
     return out
 
 
-def cmd_score_candidates(ws: Workspace, args) -> int:
-    pool, training_inputs, pool_path, inputs_path = _load_pool_and_inputs(ws)
-    cand_path = ws.require("candidates.jsonl")
-    inputs = {"pool.jsonl": pool_path, "training_inputs.jsonl": inputs_path,
-              "candidates.jsonl": cand_path}
-    outputs = {"scored.jsonl": ws.path("scored.jsonl")}
-    if not args.force and ws.up_to_date("score-candidates", inputs, outputs):
-        print("score-candidates: up to date")
-        return 0
-    mined = _load_candidates(cand_path, training_inputs, pool)
-    backend = build_backend(ws, args.score_cache)
-    template = ws.config.template.build()
-    sets = []
-    for inp, demos in mined:
-        cands = [
-            retriever.ScoredCandidate(d, scoring.score_list(backend, template, [d], inp))
-            for d in demos
-        ]
-        sets.append(retriever.ScoredCandidateSet(inp, cands))
-    _save_cache(backend, args.score_cache)
-    atomic_produce(outputs["scored.jsonl"], lambda p: retriever.write_scored_sets(p, sets))
-    ws.write_manifest("score-candidates", "score-candidates", inputs, outputs)
-    print(f"score-candidates: {sum(len(s.candidates) for s in sets)} scores "
-          f"({backend.cache.stats.hits} cache hits)")
-    return 0
+def _score_candidates(s: Session, out: dict[str, Path]) -> str:
+    mined = _load_candidates(s.ws.path("candidates.jsonl"), s.training_inputs, s.pool)
+    template = s.ws.config.template.build()
+    sets = [
+        retriever.ScoredCandidateSet(inp, [
+            retriever.ScoredCandidate(d, scoring.score_list(s.backend, template, [d], inp))
+            for d in demos])
+        for inp, demos in mined
+    ]
+    retriever.write_scored_sets(out["scored.jsonl"], sets)
+    return (f"{sum(len(c.candidates) for c in sets)} scores "
+            f"({s.backend.cache.stats.hits} cache hits)")
 
 
-def cmd_train_retriever(ws: Workspace, args) -> int:
-    pool, training_inputs, pool_path, inputs_path = _load_pool_and_inputs(ws)
-    scored_path = ws.require("scored.jsonl")
-    inputs = {"scored.jsonl": scored_path}
-    outputs = {"retriever.ckpt": ws.path("retriever.ckpt")}
-    if not args.force and ws.up_to_date("train-retriever", inputs, outputs):
-        print("train-retriever: up to date")
-        return 0
-    sets = retriever.load_scored_sets(scored_path, training_inputs, pool)
-    model = retriever.BiEncoder.init(ws.config.encoder.config(),
-                                     ws.config.seeds.retriever_init)
-    cfg = ws.config.retriever.train_config(ws.config.seeds.retriever_train)
-    trained = retriever.train_retriever(model, sets, cfg)
-    atomic_produce(outputs["retriever.ckpt"],
-                   lambda p: checkpoint.save_retriever(p, trained, ws.digest))
-    ws.write_manifest("train-retriever", "train-retriever", inputs, outputs)
-    print(f"train-retriever: {len(sets)} sets, {cfg.epochs} epochs")
-    return 0
+def _train_retriever(s: Session, out: dict[str, Path]) -> str:
+    cfg = s.ws.config
+    sets = retriever.load_scored_sets(s.ws.path("scored.jsonl"), s.training_inputs, s.pool)
+    model = retriever.BiEncoder.init(cfg.encoder.config(), cfg.seeds.retriever_init)
+    train_cfg = cfg.retriever.train_config(cfg.seeds.retriever_train)
+    trained = retriever.train_retriever(model, sets, train_cfg)
+    checkpoint.save_retriever(out["retriever.ckpt"], trained, s.ws.digest)
+    return f"{len(sets)} sets, {train_cfg.epochs} epochs"
 
 
-def cmd_build_samples(ws: Workspace, args) -> int:
-    pool, training_inputs, pool_path, inputs_path = _load_pool_and_inputs(ws)
-    ckpt_path = ws.require("retriever.ckpt")
-    inputs = {"retriever.ckpt": ckpt_path, "pool.jsonl": pool_path,
-              "training_inputs.jsonl": inputs_path}
-    outputs = {"samples.jsonl": ws.path("samples.jsonl")}
-    if not args.force and ws.up_to_date("build-samples", inputs, outputs):
-        print("build-samples: up to date")
-        return 0
-    model, _ = checkpoint.load_retriever(ckpt_path)
-    index = retriever.DenseIndex.build(model, pool)
-    m = min(ws.config.reranker.retrieve_m, len(pool))
-    retrieved = [retriever.retrieve_topD(index, model, inp, m)
-                 for inp in training_inputs]
-    backend = build_backend(ws, args.score_cache)
-    template = ws.config.template.build()
+def _build_samples(s: Session, out: dict[str, Path]) -> str:
+    cfg = s.ws.config
+    m = min(cfg.reranker.retrieve_m, len(s.pool))
+    retrieved = [retriever.retrieve_topD(s.dense_index, s.retriever_model, inp, m)
+                 for inp in s.training_inputs]
     samples = reranker.construct_samples_for_corpus(
-        training_inputs, retrieved, backend, template,
-        ws.config.reranker.iterations, ws.config.seeds.sampling,
-        ws.config.reranker.trajectories)
-    _save_cache(backend, args.score_cache)
-    atomic_produce(outputs["samples.jsonl"], lambda p: reranker.write_samples(p, samples))
-    ws.write_manifest("build-samples", "build-samples", inputs, outputs)
-    print(f"build-samples: {len(samples)} samples from {len(training_inputs)} inputs")
-    return 0
+        s.training_inputs, retrieved, s.backend, cfg.template.build(),
+        cfg.reranker.iterations, cfg.seeds.sampling, cfg.reranker.trajectories)
+    reranker.write_samples(out["samples.jsonl"], samples)
+    return f"{len(samples)} samples from {len(s.training_inputs)} inputs"
 
 
-def cmd_train_reranker(ws: Workspace, args) -> int:
-    pool, training_inputs, pool_path, inputs_path = _load_pool_and_inputs(ws)
-    samples_path = ws.require("samples.jsonl")
-    inputs = {"samples.jsonl": samples_path}
-    outputs = {"reranker.ckpt": ws.path("reranker.ckpt")}
-    if not args.force and ws.up_to_date("train-reranker", inputs, outputs):
-        print("train-reranker: up to date")
-        return 0
-    samples = reranker.load_samples(samples_path, training_inputs, pool)
-    model = reranker.CrossEncoder.init(ws.config.encoder.config(),
-                                       ws.config.encoder.hidden,
-                                       ws.config.seeds.reranker_init)
-    cfg = ws.config.reranker.train_config(ws.config.seeds.reranker_train)
-    trained = reranker.train_reranker(model, samples, cfg)
-    atomic_produce(outputs["reranker.ckpt"],
-                   lambda p: checkpoint.save_reranker(p, trained, ws.digest))
-    ws.write_manifest("train-reranker", "train-reranker", inputs, outputs)
-    print(f"train-reranker: {len(samples)} samples, {cfg.epochs} epochs")
-    return 0
+def _train_reranker(s: Session, out: dict[str, Path]) -> str:
+    cfg = s.ws.config
+    samples = reranker.load_samples(s.ws.path("samples.jsonl"), s.training_inputs, s.pool)
+    model = reranker.CrossEncoder.init(cfg.encoder.config(), cfg.encoder.hidden,
+                                       cfg.seeds.reranker_init)
+    train_cfg = cfg.reranker.train_config(cfg.seeds.reranker_train)
+    trained = reranker.train_reranker(model, samples, train_cfg)
+    checkpoint.save_reranker(out["reranker.ckpt"], trained, s.ws.digest)
+    return f"{len(samples)} samples, {train_cfg.epochs} epochs"
 
 
-def _policies(ws: Workspace, args) -> list[str]:
-    if args.policy:
-        for p in args.policy:
-            if p not in pipeline.POLICIES:
-                raise ConfigError(f"unknown policy {p!r}; expected one of {pipeline.POLICIES}")
-        return list(args.policy)
-    return list(ws.config.selection.policies)
+# The trained models each ranking policy reads.
+POLICY_MODELS = {"retriever-topk": ("retriever.ckpt",),
+                 "demorank": ("retriever.ckpt", "reranker.ckpt")}
 
 
-def _policy_context(ws: Workspace, policies: list[str], backend,
-                    inputs: dict[str, Path]) -> pipeline.PolicyContext:
-    pool_path = ws.require("pool.jsonl")
-    inputs["pool.jsonl"] = pool_path
-    pool = data.load_pool(pool_path)
-    sel = ws.config.selection
+def _rank(policy: str, s: Session, out: dict[str, Path]) -> str:
+    cfg = s.ws.config
+    sel = cfg.selection
     ctx = pipeline.PolicyContext(
-        pool=pool, backend=backend, template=ws.config.template.build(),
-        bm25_params=ws.config.bm25.params(), shots=sel.shots,
-        retrieve_d=sel.retrieve_d, per_query_selection=sel.per_query,
-        seed=ws.config.seeds.policy,
+        pool=s.pool, backend=s.backend, template=cfg.template.build(),
+        bm25_params=cfg.bm25.params(), shots=sel.shots, retrieve_d=sel.retrieve_d,
+        per_query_selection=sel.per_query, seed=cfg.seeds.policy,
     )
-    if "bm25-demos" in policies:
-        ctx.pool_bm25_index = bm25.build_pool_index(pool)
-    if "retriever-topk" in policies or "demorank" in policies:
-        ckpt_path = ws.require("retriever.ckpt")
-        inputs["retriever.ckpt"] = ckpt_path
-        ctx.retriever, _ = checkpoint.load_retriever(ckpt_path)
-        ctx.dense_index = retriever.DenseIndex.build(ctx.retriever, pool)
-    if "demorank" in policies:
-        ckpt_path = ws.require("reranker.ckpt")
-        inputs["reranker.ckpt"] = ckpt_path
-        ctx.reranker, _ = checkpoint.load_reranker(ckpt_path)
-    return ctx
+    if policy == "bm25-demos":
+        ctx.pool_bm25_index = bm25.build_pool_index(s.pool)
+    if policy in POLICY_MODELS:
+        ctx.retriever, ctx.dense_index = s.retriever_model, s.dense_index
+    if policy == "demorank":
+        ctx.reranker = s.reranker_model
+    _, entries = pipeline.run_policy(policy, s.test, ctx, s.ws.digest)
+    pipeline.write_run(out[f"runs/{policy}.run"], entries)
+    return f"{len(entries)} entries"
 
 
-def cmd_rank(ws: Workspace, args) -> int:
-    policies = _policies(ws, args)
-    test = _load_split(ws, "test")
-    paths = _data_paths(ws)
-    backend = build_backend(ws, args.score_cache)
-    shared_inputs: dict[str, Path] = {
-        "test_queries": paths["test_queries"],
-        "test_passages": paths["test_passages"],
-        "test_qrels": paths["test_qrels"],
-    }
-    ctx = _policy_context(ws, policies, backend, shared_inputs)
-    for policy in policies:
-        run_path = ws.path(f"runs/{policy}.run")
-        outputs = {f"runs/{policy}.run": run_path}
-        name = f"rank-{policy}"
-        if not args.force and ws.up_to_date(name, shared_inputs, outputs):
-            print(f"rank[{policy}]: up to date")
-            continue
-        _, entries = pipeline.run_policy(policy, test, ctx, ws.digest)
-        atomic_produce(run_path, lambda p: pipeline.write_run(p, entries))
-        ws.write_manifest(name, "rank", shared_inputs, outputs)
-        print(f"rank[{policy}]: {len(entries)} entries")
-    _save_cache(backend, args.score_cache)
-    return 0
+def _evaluate(policy: str, s: Session, out: dict[str, Path]) -> str:
+    start = time.monotonic()
+    entries = pipeline.load_run(s.ws.path(f"runs/{policy}.run"))
+    per_query, mean, excluded = pipeline.evaluate_run(entries, s.test.judgments_by_query())
+    report = pipeline.EvalReport(policy, s.ws.config.selection.shots, mean, per_query,
+                                 excluded, s.ws.digest, time.monotonic() - start)
+    out[f"reports/{policy}.json"].write_text(report.to_json(), encoding="utf-8")
+    extra = f", {len(excluded)} queries excluded" if excluded else ""
+    return f"mean NDCG@10 {mean:.5f} over {len(per_query)} queries{extra}"
 
 
-def cmd_evaluate(ws: Workspace, args) -> int:
-    policies = _policies(ws, args)
-    test = _load_split(ws, "test")
-    paths = _data_paths(ws)
-    qrels = test.judgments_by_query()
-    for policy in policies:
-        run_path = ws.path(f"runs/{policy}.run")
-        if not run_path.exists():
-            raise MissingArtifactError(f"missing run file runs/{policy}.run; run 'rank' first")
-        run_manifest = ws.read_manifest(f"rank-{policy}")
-        if run_manifest is None or run_manifest.get("config_digest") != ws.digest:
-            found = run_manifest.get("config_digest", "?")[:12] if run_manifest else "none"
-            raise StaleArtifactError(
-                f"run file for {policy} has manifest digest {found}, "
-                f"current is {ws.digest[:12]}; rerun 'rank'")
-        inputs = {f"runs/{policy}.run": run_path, "test_qrels": paths["test_qrels"]}
-        report_path = ws.path(f"reports/{policy}.json")
-        outputs = {f"reports/{policy}.json": report_path}
-        name = f"evaluate-{policy}"
-        if not args.force and ws.up_to_date(name, inputs, outputs):
-            print(f"evaluate[{policy}]: up to date")
-            continue
-        start = time.monotonic()
-        entries = pipeline.load_run(run_path)
-        per_query, mean, excluded = pipeline.evaluate_run(entries, qrels)
-        report = pipeline.EvalReport(policy, ws.config.selection.shots, mean,
-                                     per_query, excluded, ws.digest,
-                                     time.monotonic() - start)
-        atomic_write_text(report_path, report.to_json())
-        ws.write_manifest(name, "evaluate", inputs, outputs)
-        extra = f", {len(excluded)} queries excluded" if excluded else ""
-        print(f"evaluate[{policy}]: mean NDCG@10 {mean:.5f} "
-              f"over {len(per_query)} queries{extra}")
-    return 0
-
-
-def cmd_compare(ws: Workspace, args) -> int:
-    policies = _policies(ws, args)
+def _compare(policies: list[str], s: Session, out: dict[str, Path]) -> str:
     reports = []
-    inputs = {}
     for policy in policies:
-        report_path = ws.path(f"reports/{policy}.json")
-        if not report_path.exists():
-            raise MissingArtifactError(
-                f"missing report reports/{policy}.json; run 'evaluate' first")
-        obj = json.loads(report_path.read_text(encoding="utf-8"))
-        if obj.get("config_digest") != ws.digest:
-            raise StaleArtifactError(f"report for {policy} is stale; rerun 'evaluate'")
+        obj = json.loads(s.ws.path(f"reports/{policy}.json").read_text(encoding="utf-8"))
         reports.append(pipeline.EvalReport(
             obj["policy"], obj["shots"], obj["mean_ndcg"], obj["per_query"],
             obj["excluded_queries"], obj["config_digest"], obj["wall_clock_sec"]))
-        inputs[f"reports/{policy}.json"] = report_path
     comparison = pipeline.compare_reports(reports)
-    comparison["config_digest"] = ws.digest
-    out_path = ws.path("compare.json")
-    atomic_write_text(out_path, json.dumps(comparison, sort_keys=True, indent=2))
-    ws.write_manifest("compare", "compare", inputs, {"compare.json": out_path})
+    comparison["config_digest"] = s.ws.digest
+    out["compare.json"].write_text(json.dumps(comparison, sort_keys=True, indent=2),
+                                   encoding="utf-8")
     width = max(len(p) for p in policies)
-    print(f"{'policy'.ljust(width)}  mean NDCG@10")
-    for r in sorted(reports, key=lambda r: -r.mean_ndcg):
-        print(f"{r.policy.ljust(width)}  {r.mean_ndcg:.5f}")
+    rows = [f"{'policy'.ljust(width)}  mean NDCG@10"]
+    rows += [f"{r.policy.ljust(width)}  {r.mean_ndcg:.5f}"
+             for r in sorted(reports, key=lambda r: -r.mean_ndcg)]
+    return "\n".join([f"{len(reports)} policies", *rows])
+
+
+# ---------------------------------------------------------------------------
+# The stage table and its runner
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline step; its manifest is `manifests/<name>.manifest.json`.
+
+    `command` is the CLI command that runs it.  `scores` marks stages that call
+    the scorer, which also read the scorer's oracle files (`Workspace.oracle`).
+    """
+
+    name: str
+    command: str
+    inputs: tuple[str, ...]
+    outputs: tuple[str, ...]
+    build: Callable[[Session, dict[str, Path]], str]
+    scores: bool = False
+    policy: str | None = None
+
+    @property
+    def label(self) -> str:
+        return f"{self.command}[{self.policy}]" if self.policy else self.name
+
+
+POOL = ("pool.jsonl", "training_inputs.jsonl")
+TRAIN_SPLIT, TEST_SPLIT = DATA_KEYS[:3], DATA_KEYS[3:]
+
+
+def stages(policies=pipeline.POLICIES) -> list[Stage]:
+    """The pipeline in run order, with ranking stages for `policies`."""
+    return [
+        Stage("data", "build-pool", (), tuple(DATA_FILES), _build_data),
+        Stage("build-pool", "build-pool", TRAIN_SPLIT,
+              (*POOL, "training_inputs.report.json"), _build_pool),
+        Stage("mine-candidates", "mine-candidates", POOL, ("candidates.jsonl",),
+              _mine_candidates),
+        Stage("score-candidates", "score-candidates", (*POOL, "candidates.jsonl"),
+              ("scored.jsonl",), _score_candidates, scores=True),
+        Stage("train-retriever", "train-retriever", (*POOL, "scored.jsonl"),
+              ("retriever.ckpt",), _train_retriever),
+        Stage("build-samples", "build-samples", (*POOL, "retriever.ckpt"),
+              ("samples.jsonl",), _build_samples, scores=True),
+        Stage("train-reranker", "train-reranker", (*POOL, "samples.jsonl"),
+              ("reranker.ckpt",), _train_reranker),
+        *(Stage(f"rank-{p}", "rank", ("pool.jsonl", *TEST_SPLIT, *POLICY_MODELS.get(p, ())),
+                (f"runs/{p}.run",), partial(_rank, p), scores=True, policy=p)
+          for p in policies),
+        *(Stage(f"evaluate-{p}", "evaluate", (f"runs/{p}.run", *TEST_SPLIT),
+                (f"reports/{p}.json",), partial(_evaluate, p), policy=p)
+          for p in policies),
+        Stage("compare", "compare", tuple(f"reports/{p}.json" for p in policies),
+              ("compare.json",), partial(_compare, list(policies))),
+    ]
+
+
+# artifact -> the stage that produces it
+PRODUCERS = {rel: stage for stage in stages() for rel in stage.outputs}
+COMMANDS = ("print-config", *dict.fromkeys(stage.command for stage in stages()))
+
+
+def run_stage(s: Session, stage: Stage, force: bool) -> None:
+    """Require the inputs, skip if up to date, build, rename, write the manifest."""
+    ws = s.ws
+    keys = stage.inputs + (ws.oracle if stage.scores else ())
+    inputs = {rel: ws.require(rel) for rel in keys}
+    outputs = {rel: ws.path(rel) for rel in stage.outputs}
+    if not force and ws.up_to_date(stage.name, inputs, outputs):
+        print(f"{stage.label}: up to date")
+        return
+    tmp = {rel: p.with_suffix(p.suffix + ".tmp") for rel, p in outputs.items()}
+    summary = stage.build(s, tmp)
+    for rel, p in outputs.items():
+        os.replace(tmp[rel], p)
+    ws.write_manifest(stage.name, stage.command, inputs, outputs)
+    print(f"{stage.label}: {summary}")
+
+
+def _policies(ws: Workspace, args) -> list[str]:
+    chosen = getattr(args, "policy", None)
+    if not chosen:
+        return list(ws.config.selection.policies)
+    for p in chosen:
+        if p not in pipeline.POLICIES:
+            raise ConfigError(f"unknown policy {p!r}; expected one of {pipeline.POLICIES}")
+    return list(chosen)
+
+
+def run_command(ws: Workspace, args) -> int:
+    if args.command == "print-config":
+        print(ws.config.to_json())
+        return 0
+    session = Session(ws, args.score_cache)
+    try:
+        for stage in stages(_policies(ws, args)):
+            # A dataset read from files has no data stage to run.
+            if stage.command == args.command and not ws.external.keys() & stage.outputs:
+                run_stage(session, stage, args.force)
+    finally:
+        session.save_cache()
     return 0
-
-
-COMMANDS = {
-    "print-config": cmd_print_config,
-    "build-pool": cmd_build_pool,
-    "mine-candidates": cmd_mine_candidates,
-    "score-candidates": cmd_score_candidates,
-    "train-retriever": cmd_train_retriever,
-    "build-samples": cmd_build_samples,
-    "train-reranker": cmd_train_reranker,
-    "rank": cmd_rank,
-    "evaluate": cmd_evaluate,
-    "compare": cmd_compare,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -616,12 +533,11 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         config_dir = args.config.parent.resolve() if args.config else Path.cwd()
         args.workdir.mkdir(parents=True, exist_ok=True)
-        ws = Workspace(args.workdir, config, config_dir)
-        return COMMANDS[args.command](ws, args)
-    except ConfigError as exc:
+        return run_command(Workspace(args.workdir, config, config_dir), args)
+    except (ConfigError, data.CorpusError, bm25.PoolTooSmallError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (MissingArtifactError, StaleArtifactError) as exc:
+    except ArtifactError as exc:
         print(f"artifact error: {exc}", file=sys.stderr)
         return 3
     except scoring.BackendError as exc:

@@ -116,18 +116,16 @@ def brute_force_best_list(input: TrainingInput, candidates: list[Demonstration],
 def rank_passages(query: Query, passages: list[Passage], demos,
                   backend: ScorerBackend, template: PromptTemplate,
                   tag: str = "run") -> list[RunEntry]:
-    """Order passages by p(Yes) descending; ties keep the initial order."""
-    scores = [relevance_score(backend, template, demos, query, p) for p in passages]
-    order = sorted(range(len(passages)), key=lambda i: (-scores[i], i))
-    return [
-        RunEntry(query.id, passages[i].id, pos + 1, scores[i], tag)
-        for pos, i in enumerate(order)
-    ]
+    """Order passages by p(Yes) given one demo list shared by all of them."""
+    return rank_passages_per_input(query, passages, [demos] * len(passages),
+                                   backend, template, tag)
 
 
 def rank_passages_per_input(query: Query, passages: list[Passage], demos_per_passage,
                             backend: ScorerBackend, template: PromptTemplate,
                             tag: str = "run") -> list[RunEntry]:
+    """Order passages by p(Yes) descending, each scored with its own demo list;
+    ties keep the initial order."""
     scores = [
         relevance_score(backend, template, demos, query, p)
         for p, demos in zip(passages, demos_per_passage)
@@ -280,7 +278,10 @@ def initial_rankings(dataset: Dataset, params: Bm25Params) -> dict[str, list[Pas
 
 def _selector(policy: str, ctx: PolicyContext
               ) -> Callable[[RankInput, random.Random], list[Demonstration]]:
-    """The policy's demo selection function, one call per test input."""
+    """The policy's demo selection function, one call per test input.
+
+    Make a fresh one per `run_policy` call: it may memoize per call.
+    """
     if policy == "zero-shot":
         return lambda input, rng: []
     if policy == "random":
@@ -288,9 +289,15 @@ def _selector(policy: str, ctx: PolicyContext
         return lambda input, rng: [ctx.pool[i] for i in rng.sample(range(len(ctx.pool)), k)]
     if policy == "bm25-demos":
         ctx.require("pool_bm25_index")
-        return lambda input, rng: [
-            ctx.pool[i] for i, _ in bm25_search(ctx.pool_bm25_index, ctx.bm25_params,
-                                                input.query.text, top=ctx.shots)]
+        by_query: dict[str, list[Demonstration]] = {}  # the search reads only the query
+
+        def bm25_demos(input, rng):
+            text = input.query.text
+            if text not in by_query:
+                by_query[text] = [ctx.pool[i] for i, _ in bm25_search(
+                    ctx.pool_bm25_index, ctx.bm25_params, text, top=ctx.shots)]
+            return by_query[text]
+        return bm25_demos
     if policy == "retriever-topk":
         ctx.require("retriever", "dense_index")
         return lambda input, rng: retrieve_topD(ctx.dense_index, ctx.retriever, input,
@@ -320,16 +327,14 @@ def run_policy(policy: str, dataset: Dataset, ctx: PolicyContext,
             continue
         if ctx.per_query_selection:
             rng = random.Random((ctx.seed, policy, q_ordinal).__repr__())
-            demos = select(RankInput(query, passages[0]), rng)
-            entries.extend(rank_passages(query, passages, demos, ctx.backend,
-                                         ctx.template, tag=policy))
+            demos_per_passage = [select(RankInput(query, passages[0]), rng)] * len(passages)
         else:
-            demos_per_passage = []
-            for p_ordinal, passage in enumerate(passages):
-                rng = random.Random((ctx.seed, policy, q_ordinal, p_ordinal).__repr__())
-                demos_per_passage.append(select(RankInput(query, passage), rng))
-            entries.extend(rank_passages_per_input(query, passages, demos_per_passage,
-                                                   ctx.backend, ctx.template, tag=policy))
+            demos_per_passage = [
+                select(RankInput(query, passage),
+                       random.Random((ctx.seed, policy, q_ordinal, p_ordinal).__repr__()))
+                for p_ordinal, passage in enumerate(passages)]
+        entries.extend(rank_passages_per_input(query, passages, demos_per_passage,
+                                               ctx.backend, ctx.template, tag=policy))
     per_query, mean, excluded = evaluate_run(entries, qrels)
     report = EvalReport(policy, ctx.shots, mean, per_query, excluded,
                         config_digest, time.monotonic() - start)

@@ -169,6 +169,9 @@ class MockScorer:
         self.relevance_fn = relevance_fn
         self.relevance_threshold = relevance_threshold
 
+    def identity(self) -> str:
+        return f"mock {self.weights!r} {self.relevance_threshold!r}"
+
     def distribution(self, request: ScoreRequest) -> LabelDistribution:
         w = self.weights
         input_words = _word_set(f"{request.input_query} {request.input_passage}")
@@ -243,6 +246,9 @@ class HttpScorer:
     def _url(self) -> str:
         return urljoin(self.base_url, SCORE_PATH)
 
+    def identity(self) -> str:
+        return f"http {self._url()}"
+
     @staticmethod
     def _body(request: ScoreRequest) -> dict:
         return {
@@ -312,7 +318,7 @@ class CacheStats:
 
 
 class ScoreCache:
-    """Thread-safe map from request digest to (p_yes, p_no)."""
+    """Thread-safe map from a key (see `CachedScorer`) to (p_yes, p_no)."""
 
     def __init__(self) -> None:
         self._store: dict[str, tuple[float, float]] = {}
@@ -342,27 +348,38 @@ class ScoreCache:
             json.dump(snapshot, fh)
 
     def load(self, path) -> None:
+        """Merge a saved cache; ValueError if the file is not one."""
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
+        try:
+            entries = {k: (float(yes), float(no)) for k, (yes, no) in obj.items()}
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"not a JSON object of [p_yes, p_no] pairs: {exc}") from exc
         with self._lock:
-            for k, (yes, no) in obj.items():
-                self._store[k] = (float(yes), float(no))
+            self._store.update(entries)
 
 
 class CachedScorer:
-    """Read-through cache around any backend; identical values either way."""
+    """Read-through cache around any backend; identical values either way.
+
+    Entries are keyed on the backend's identity (its `identity()`, else its
+    class name) plus the request digest, so one cache shared by differently
+    configured scorers never serves one scorer's values to another.
+    """
 
     def __init__(self, backend: ScorerBackend, cache: ScoreCache | None = None) -> None:
         self.backend = backend
-        self.cache = cache or ScoreCache()
+        self.cache = cache if cache is not None else ScoreCache()
+        identity = getattr(backend, "identity", lambda: type(backend).__qualname__)()
+        self._scope = sha256(identity.encode("utf-8")).hexdigest()[:16] + ":"
 
     def distribution(self, request: ScoreRequest) -> LabelDistribution:
-        digest = request.digest()
-        got = self.cache.lookup(digest)
+        key = self._scope + request.digest()
+        got = self.cache.lookup(key)
         if got is not None:
             return LabelDistribution(got[0], got[1])
         dist = self.backend.distribution(request)
-        self.cache.store(digest, dist)
+        self.cache.store(key, dist)
         return dist
 
 

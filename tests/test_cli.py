@@ -2,6 +2,7 @@
 
 import json
 import re
+import shutil
 
 import pytest
 
@@ -223,6 +224,60 @@ class TestExitCodes:
         assert "backend error" in capsys.readouterr().err
 
 
+def copy_built(built, tmp_path):
+    """A private copy of the shared chain's workdir, safe to tamper with."""
+    config_path, workdir = built
+    copy = tmp_path / "work"
+    shutil.copytree(workdir, copy)
+    return config_path, copy
+
+
+class TestStageChecks:
+    def test_data_section_change_regenerates_data(self, tmp_path, capsys):
+        config_path = write_config(tmp_path)
+        workdir = tmp_path / "work"
+        assert run_cli(config_path, workdir, "build-pool") == 0
+        changed = write_config(tmp_path, {"data": {"train_queries": 16}})
+        assert run_cli(changed, workdir, "build-pool") == 0
+        assert "data: 16 train and 4 test queries" in capsys.readouterr().out
+        queries = (workdir / "data" / "train_queries.jsonl").read_text().splitlines()
+        assert len(queries) == 16
+        manifest = json.loads((workdir / "manifests" / "data.manifest.json").read_text())
+        assert manifest["config_digest"] == load_config(changed).digest()
+
+    def test_tampered_run_file_detected_by_evaluate(self, built, tmp_path, capsys):
+        config_path, workdir = copy_built(built, tmp_path)
+        with open(workdir / "runs" / "zero-shot.run", "a", encoding="utf-8") as fh:
+            fh.write("not a run line\n")
+        assert run_cli(config_path, workdir, "evaluate", global_args=("--force",)) == 3
+        err = capsys.readouterr().err
+        assert "runs/zero-shot.run changed since 'rank' wrote it; rerun 'rank'" in err
+
+    def test_tampered_report_detected_by_compare(self, built, tmp_path, capsys):
+        config_path, workdir = copy_built(built, tmp_path)
+        (workdir / "reports" / "random.json").write_text("{bad")
+        assert run_cli(config_path, workdir, "compare") == 3
+        assert "rerun 'evaluate'" in capsys.readouterr().err
+
+    def test_missing_data_file_names_build_pool(self, built, tmp_path, capsys):
+        config_path, workdir = copy_built(built, tmp_path)
+        (workdir / "data" / "test_queries.jsonl").unlink()
+        assert run_cli(config_path, workdir, "rank", global_args=("--force",)) == 3
+        err = capsys.readouterr().err
+        assert "test_queries.jsonl; run 'build-pool' first" in err
+
+    def test_mine_candidates_needs_only_the_pool_files(self, built, tmp_path):
+        config_path, workdir = built
+        fresh = tmp_path / "fresh"
+        (fresh / "manifests").mkdir(parents=True)
+        for rel in ("pool.jsonl", "training_inputs.jsonl",
+                    "manifests/build-pool.manifest.json"):
+            shutil.copyfile(workdir / rel, fresh / rel)
+        assert run_cli(config_path, fresh, "mine-candidates") == 0
+        assert ((fresh / "candidates.jsonl").read_bytes()
+                == (workdir / "candidates.jsonl").read_bytes())
+
+
 class TestScoreCache:
     def test_cache_persists_and_serves_hits(self, tmp_path, capsys):
         config_path = write_config(tmp_path)
@@ -240,6 +295,36 @@ class TestScoreCache:
         scores, hits = map(int, re.search(
             r"score-candidates: (\d+) scores \((\d+) cache hits\)", second).groups())
         assert hits == scores > 0
+
+
+    def test_cache_not_shared_across_scorer_configs(self, tmp_path, capsys):
+        cache_path = tmp_path / "scores.cache"
+        runs = {}
+        for name, overrides in (("a", None), ("b", {"scorer": {"mock_rel": 5.0}})):
+            (tmp_path / name).mkdir()
+            config_path = write_config(tmp_path / name, overrides)
+            workdir = tmp_path / name / "work"
+            build_chain(config_path, workdir, upto="mine-candidates")
+            assert run_cli(config_path, workdir, "score-candidates",
+                           global_args=("--score-cache", str(cache_path))) == 0
+            runs[name] = config_path, workdir
+        assert "(0 cache hits)" in capsys.readouterr().out.splitlines()[-1]
+        config_path, workdir = runs["b"]
+        cached = (workdir / "scored.jsonl").read_bytes()
+        assert run_cli(config_path, workdir, "score-candidates",
+                       global_args=("--force",)) == 0
+        assert (workdir / "scored.jsonl").read_bytes() == cached
+
+    @pytest.mark.parametrize("content", ["{bad", '{"x": 1}', "[]"])
+    def test_corrupt_cache_is_an_artifact_error(self, built, tmp_path, capsys, content):
+        config_path, workdir = copy_built(built, tmp_path)
+        cache_path = tmp_path / "scores.cache"
+        cache_path.write_text(content)
+        assert run_cli(config_path, workdir, "score-candidates",
+                       global_args=("--force", "--score-cache", str(cache_path))) == 3
+        err = capsys.readouterr().err
+        assert f"score cache {cache_path} is unreadable" in err
+        assert cache_path.read_text() == content
 
 
 class TestWorkdir:

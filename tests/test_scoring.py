@@ -289,6 +289,18 @@ class TestCachedScorer:
         assert a != b
         assert len(cached.cache) == 2
 
+    def test_shared_cache_is_scoped_by_scorer_identity(self):
+        shared = ScoreCache()
+        req = request([], "a b c", "a b d")
+        first = CachedScorer(MockScorer(), shared)
+        other = CachedScorer(MockScorer(MockScorerWeights(offset=0.5)), shared)
+        same = CachedScorer(MockScorer(), shared)
+        assert first.distribution(req) != other.distribution(req)
+        assert same.distribution(req) == first.distribution(req)
+        assert (shared.stats.misses, shared.stats.hits, len(shared)) == (2, 2, 2)
+        urls = {HttpScorer(u).identity() for u in ("http://a:1", "http://a:1/", "http://b:1")}
+        assert len(urls) == 2
+
     def test_thread_safety(self):
         backend = CountingScorer()
         cached = CachedScorer(backend)

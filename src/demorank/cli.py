@@ -3,11 +3,11 @@
 The pipeline is a table of stages (`stages()`): each names the artifacts it
 reads, the files it writes and a function that builds them.  One runner,
 `run_stage`, checks every input (present, and produced under the current
-config digest with the content its producer's manifest records), skips the
-stage when its own manifest still matches (unless --force), builds the
-outputs under temp names, renames them into place and writes the stage's
-manifest: the config digest and the SHA-256 of everything the stage read and
-wrote.
+config digest with the content its producer's manifest records, from
+upstream files that still match that manifest), skips the stage when its own
+manifest still matches (unless --force), builds the outputs under temp names,
+renames them into place and writes the stage's manifest: the config digest
+and the SHA-256 of everything the stage read and wrote.
 
 A command runs its stages in table order.  `build-pool` first runs the `data`
 stage, which writes the synthetic dataset under `data/` with its own manifest
@@ -27,7 +27,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, partial
 from hashlib import sha256
 from pathlib import Path
@@ -78,6 +78,7 @@ class Workspace:
                        if synthetic and config.scorer.backend == "mock" else ())
         for sub in ("manifests", "data", "runs", "reports"):
             (self.root / sub).mkdir(parents=True, exist_ok=True)
+        self.hashes: dict[Path, str] = {}  # file -> SHA-256, for this command
 
     def path(self, rel: str) -> Path:
         return self.external.get(rel) or self.root / DATA_FILES.get(rel, rel)
@@ -86,48 +87,57 @@ class Workspace:
         return self.root / "manifests" / f"{name}.manifest.json"
 
     def read_manifest(self, name: str) -> dict | None:
-        p = self.manifest_path(name)
-        if not p.exists():
-            return None
         try:
-            return json.loads(p.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+            return json.loads(self.manifest_path(name).read_text(encoding="utf-8"))
+        except (OSError, ValueError):
             return None
 
-    def write_manifest(self, name: str, command: str, inputs: dict[str, Path],
+    def hash(self, path: Path) -> str:
+        """The file's SHA-256, computed once per command (see write_manifest)."""
+        if path not in self.hashes:
+            self.hashes[path] = _hash_file(path)
+        return self.hashes[path]
+
+    def write_manifest(self, name: str, command: str, inputs: dict[str, str],
                        outputs: dict[str, Path]) -> None:
+        """Record the config digest, the inputs' digests and the new outputs'."""
+        for p in outputs.values():  # rewritten by the stage
+            self.hashes.pop(p, None)
         manifest = {
             "format_version": 1,
             "command": command,
             "config_digest": self.digest,
-            "inputs": {k: _hash_file(p) for k, p in inputs.items()},
-            "outputs": {k: _hash_file(p) for k, p in outputs.items()},
+            "inputs": inputs,
+            "outputs": {k: self.hash(p) for k, p in outputs.items()},
         }
         text = json.dumps(manifest, sort_keys=True, indent=2)
         atomic_produce(self.manifest_path(name),
                        lambda p: p.write_text(text, encoding="utf-8"))
 
-    def up_to_date(self, name: str, inputs: dict[str, Path],
+    def up_to_date(self, name: str, inputs: dict[str, str],
                    outputs: dict[str, Path]) -> bool:
-        manifest = self.read_manifest(name)
-        if manifest is None or manifest.get("config_digest") != self.digest:
-            return False
-        for recorded, paths in ((manifest.get("inputs", {}), inputs),
-                                (manifest.get("outputs", {}), outputs)):
-            if set(recorded) != set(paths):
-                return False
-            for key, p in paths.items():
-                if not p.exists() or _hash_file(p) != recorded[key]:
-                    return False
-        return True
+        manifest = self.read_manifest(name) or {}
+        current = {"config_digest": self.digest, "inputs": inputs,
+                   "outputs": {k: self.hash(p) for k, p in outputs.items() if p.exists()}}
+        return {k: manifest.get(k) for k in current} == current
 
-    def require(self, rel: str) -> Path:
-        """An artifact a stage consumes: present and produced under this config."""
+    def require(self, rel: str) -> str:
+        """An artifact a stage consumes: present, produced under this config
+        from the upstream files now on disk.  Returns its SHA-256."""
         p = self.path(rel)
-        stage = None if rel in self.external else PRODUCERS.get(rel)
         if not p.exists():
+            stage = None if rel in self.external else PRODUCERS.get(rel)
             hint = f"; run '{stage.command}' first" if stage else ""
             raise ArtifactError(f"missing {p}{hint}")
+        return self._check(rel)
+
+    def _check(self, rel: str) -> str:
+        """The SHA-256 of an artifact on disk, once its producer's manifest
+        vouches for it and for each of its upstream files.  Upstream files
+        that are absent are skipped, so a stage can run from a copy of just
+        its own inputs and their manifests."""
+        digest = self.hash(self.path(rel))
+        stage = None if rel in self.external else PRODUCERS.get(rel)
         if stage:
             rerun = f"rerun '{stage.command}'"
             manifest = self.read_manifest(stage.name)
@@ -139,10 +149,13 @@ class Workspace:
                     f"{manifest.get('config_digest', '?')[:12]}, current is "
                     f"{self.digest[:12]}; {rerun} (or --force the chain)")
             recorded = manifest.get("outputs", {}).get(rel)
-            if recorded is not None and _hash_file(p) != recorded:
+            if recorded is not None and digest != recorded:
                 raise ArtifactError(
                     f"artifact {rel} changed since '{stage.command}' wrote it; {rerun}")
-        return p
+            for key, upstream in manifest.get("inputs", {}).items():
+                if self.path(key).exists() and self._check(key) != upstream:
+                    raise ArtifactError(f"artifact {rel} was made from an older {key}; {rerun}")
+        return digest
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +266,8 @@ def _build_pool(s: Session, out: dict[str, Path]) -> str:
     training_inputs, report = data.build_training_inputs(s.train, seeds.training_inputs)
     data.write_pool(out["pool.jsonl"], pool)
     data.write_training_inputs(out["training_inputs.jsonl"], training_inputs)
-    out["training_inputs.report.json"].write_text(json.dumps({
-        "total_queries": report.total_queries,
-        "built_queries": report.built_queries,
-        "skipped": report.skipped,
-    }, sort_keys=True, indent=2), encoding="utf-8")
+    out["training_inputs.report.json"].write_text(
+        json.dumps(asdict(report), sort_keys=True, indent=2), encoding="utf-8")
     return (f"{len(pool)} demos, {len(training_inputs)} training inputs "
             f"({len(report.skipped)} queries skipped)")
 
@@ -266,38 +276,19 @@ def _mine_candidates(s: Session, out: dict[str, Path]) -> str:
     cfg = s.ws.config
     index = bm25.build_pool_index(s.pool)
     b = cfg.retriever.candidates_b
-    with open(out["candidates.jsonl"], "w", encoding="utf-8") as fh:
-        for ordinal, inp in enumerate(s.training_inputs):
-            cands = bm25.mine_candidates(s.pool, index, inp, b, cfg.seeds.mining + ordinal,
-                                         cfg.bm25.params())
-            fh.write(json.dumps({
-                "input_id": inp.input_id,
-                "demo_refs": [list(d.ref) for d in cands],
-            }) + "\n")
+    data.write_jsonl(out["candidates.jsonl"], ({
+        "input_id": inp.input_id,
+        "demo_refs": [list(d.ref) for d in bm25.mine_candidates(
+            s.pool, index, inp, b, cfg.seeds.mining + ordinal, cfg.bm25.params())],
+    } for ordinal, inp in enumerate(s.training_inputs)))
     return f"{len(s.training_inputs)} inputs x {2 * b} candidates"
 
 
 def _load_candidates(path: Path, training_inputs, pool):
-    by_id = {t.input_id: t for t in training_inputs}
-    by_ref = pool.by_ref()
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            inp = by_id.get(obj["input_id"])
-            if inp is None:
-                raise ArtifactError(
-                    f"candidates.jsonl:{lineno} references unknown input; rerun the chain")
-            try:
-                demos = [by_ref[tuple(r)] for r in obj["demo_refs"]]
-            except KeyError as exc:
-                raise ArtifactError(
-                    f"candidates.jsonl:{lineno} references unknown demo {exc}") from exc
-            out.append((inp, demos))
-    return out
+    refs = data.RefResolver(training_inputs, pool)
+    return data.read_jsonl(path, lambda obj: (refs.input(obj["input_id"]),
+                                              [refs.demo(r) for r in obj["demo_refs"]]),
+                           "candidates record")
 
 
 def _score_candidates(s: Session, out: dict[str, Path]) -> str:
@@ -383,12 +374,8 @@ def _evaluate(policy: str, s: Session, out: dict[str, Path]) -> str:
 
 
 def _compare(policies: list[str], s: Session, out: dict[str, Path]) -> str:
-    reports = []
-    for policy in policies:
-        obj = json.loads(s.ws.path(f"reports/{policy}.json").read_text(encoding="utf-8"))
-        reports.append(pipeline.EvalReport(
-            obj["policy"], obj["shots"], obj["mean_ndcg"], obj["per_query"],
-            obj["excluded_queries"], obj["config_digest"], obj["wall_clock_sec"]))
+    reports = [pipeline.EvalReport.from_json(
+        s.ws.path(f"reports/{policy}.json").read_text(encoding="utf-8")) for policy in policies]
     comparison = pipeline.compare_reports(reports)
     comparison["config_digest"] = s.ws.digest
     out["compare.json"].write_text(json.dumps(comparison, sort_keys=True, indent=2),

@@ -221,9 +221,6 @@ class ExperimentConfig:
             raise ConfigError("reranker.iterations must not exceed reranker.retrieve_m")
         if self.selection.shots > self.selection.retrieve_d:
             raise ConfigError("selection.shots must not exceed selection.retrieve_d")
-        if self.scorer.backend == "http" and not self.scorer.endpoint:
-            # may still be satisfied by the environment override at run time
-            pass
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

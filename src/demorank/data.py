@@ -5,6 +5,10 @@ File formats:
   qrels.tsv                        query_id <TAB> 0 <TAB> passage_id <TAB> grade
   pool.jsonl                       one demonstration per line (explicit fields)
   training_inputs.jsonl            one training input per line
+
+Every JSONL artifact is written by `write_jsonl` and read by `read_jsonl`;
+records that point at training inputs and pool demonstrations are resolved
+by `RefResolver`.
 """
 
 from __future__ import annotations
@@ -14,6 +18,9 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Iterable, TypeVar
+
+T = TypeVar("T")
 
 
 class Label(str, enum.Enum):
@@ -240,27 +247,61 @@ def build_training_inputs(
 # File IO
 
 
-def _load_jsonl_texts(path: Path) -> list[tuple[str, str]]:
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """One `json.dumps(record)` per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record) + "\n")
+
+
+def read_jsonl(path: str | Path, parse: Callable[[dict], T], what: str) -> list[T]:
+    """`parse(record)` for each non-blank line of a JSONL file.
+
+    A line that is not JSON, lacks a field `parse` reads or names an unknown
+    input or demonstration raises CorpusError naming the file and line.
+    """
     out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-                out.append((str(obj["id"]), str(obj["text"])))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed record: {exc}") from exc
+                out.append(parse(json.loads(line)))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CorpusError(f"{path}:{lineno}: malformed {what}: {exc}") from exc
     return out
 
 
+class RefResolver:
+    """Maps the ids artifact records carry back to what they name.
+
+    Records name a training input by its `input_id` and a pool demonstration
+    by its ref [query_id, passage_id, label].
+    """
+
+    def __init__(self, inputs: list[TrainingInput], pool: DemonstrationPool):
+        self.inputs = {t.input_id: t for t in inputs}
+        self.demos = pool.by_ref()
+
+    def input(self, input_id: str) -> TrainingInput:
+        inp = self.inputs.get(input_id)
+        if inp is None:
+            raise ValueError(f"unknown input {input_id!r}")
+        return inp
+
+    def demo(self, ref: list[str]) -> Demonstration:
+        demo = self.demos.get(tuple(ref))
+        if demo is None:
+            raise ValueError(f"unknown demo {ref}")
+        return demo
+
+
 def load_queries(path: str | Path) -> list[Query]:
-    return [Query(i, t) for i, t in _load_jsonl_texts(Path(path))]
+    return read_jsonl(path, lambda obj: Query(str(obj["id"]), str(obj["text"])), "query")
 
 
 def load_passages(path: str | Path) -> list[Passage]:
-    return [Passage(i, t) for i, t in _load_jsonl_texts(Path(path))]
+    return read_jsonl(path, lambda obj: Passage(str(obj["id"]), str(obj["text"])), "passage")
 
 
 def load_qrels(path: str | Path) -> list[RelJudgment]:
@@ -282,9 +323,7 @@ def load_qrels(path: str | Path) -> list[RelJudgment]:
 
 
 def write_jsonl_texts(path: str | Path, items) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for item in items:
-            fh.write(json.dumps({"id": item.id, "text": item.text}) + "\n")
+    write_jsonl(path, ({"id": item.id, "text": item.text} for item in items))
 
 
 def write_qrels(path: str | Path, judgments: list[RelJudgment]) -> None:
@@ -302,81 +341,37 @@ def load_dataset(queries_path, passages_path, qrels_path, split: str) -> Dataset
     )
 
 
+# Demonstrations and training inputs share one record; the label field is
+# "label" for a demonstration and "gold" for a training input.
+
+
+def _pair_record(pair: Demonstration | TrainingInput, key: str) -> dict:
+    return {"query_id": pair.query.id, "query_text": pair.query.text,
+            "passage_id": pair.passage.id, "passage_text": pair.passage.text,
+            key: getattr(pair, key).value}
+
+
+def _read_pairs(path: str | Path, cls: type, key: str, what: str) -> list:
+    return read_jsonl(path, lambda obj: cls(Query(obj["query_id"], obj["query_text"]),
+                                            Passage(obj["passage_id"], obj["passage_text"]),
+                                            Label(obj[key])), what)
+
+
 def write_pool(path: str | Path, pool: DemonstrationPool) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for d in pool:
-            fh.write(
-                json.dumps(
-                    {
-                        "query_id": d.query.id,
-                        "query_text": d.query.text,
-                        "passage_id": d.passage.id,
-                        "passage_text": d.passage.text,
-                        "label": d.label.value,
-                    }
-                )
-                + "\n"
-            )
+    write_jsonl(path, (_pair_record(d, "label") for d in pool))
 
 
 def load_pool(path: str | Path) -> DemonstrationPool:
-    demos = []
+    demos = _read_pairs(path, Demonstration, "label", "pool record")
     counts: dict[str, list[int]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                label = Label(obj["label"])
-                demos.append(
-                    Demonstration(
-                        Query(obj["query_id"], obj["query_text"]),
-                        Passage(obj["passage_id"], obj["passage_text"]),
-                        label,
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed pool record: {exc}") from exc
-            c = counts.setdefault(obj["query_id"], [0, 0])
-            c[0 if label is Label.YES else 1] += 1
-    return DemonstrationPool(demos, {q: (c[0], c[1]) for q, c in counts.items()})
+    for d in demos:
+        counts.setdefault(d.query.id, [0, 0])[0 if d.label is Label.YES else 1] += 1
+    return DemonstrationPool(demos, {q: (yes, no) for q, (yes, no) in counts.items()})
 
 
 def write_training_inputs(path: str | Path, inputs: list[TrainingInput]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in inputs:
-            fh.write(
-                json.dumps(
-                    {
-                        "query_id": t.query.id,
-                        "query_text": t.query.text,
-                        "passage_id": t.passage.id,
-                        "passage_text": t.passage.text,
-                        "gold": t.gold.value,
-                    }
-                )
-                + "\n"
-            )
+    write_jsonl(path, (_pair_record(t, "gold") for t in inputs))
 
 
 def load_training_inputs(path: str | Path) -> list[TrainingInput]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                out.append(
-                    TrainingInput(
-                        Query(obj["query_id"], obj["query_text"]),
-                        Passage(obj["passage_id"], obj["passage_text"]),
-                        Label(obj["gold"]),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed input record: {exc}") from exc
-    return out
+    return _read_pairs(path, TrainingInput, "gold", "input record")

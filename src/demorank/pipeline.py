@@ -11,7 +11,7 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import log2
 from pathlib import Path
 from typing import Callable
@@ -241,16 +241,17 @@ class EvalReport:
     config_digest: str = ""
     wall_clock_sec: float = 0.0
 
+    # The file calls the `excluded` field "excluded_queries".
     def to_json(self) -> str:
-        return json.dumps({
-            "policy": self.policy,
-            "shots": self.shots,
-            "mean_ndcg": self.mean_ndcg,
-            "per_query": self.per_query,
-            "excluded_queries": self.excluded,
-            "config_digest": self.config_digest,
-            "wall_clock_sec": self.wall_clock_sec,
-        }, sort_keys=True, indent=2)
+        obj = asdict(self)
+        obj["excluded_queries"] = obj.pop("excluded")
+        return json.dumps(obj, sort_keys=True, indent=2)
+
+    @classmethod
+    def from_json(cls, text: str) -> "EvalReport":
+        obj = json.loads(text)
+        obj["excluded"] = obj.pop("excluded_queries")
+        return cls(**obj)
 
 
 def initial_rankings(dataset: Dataset, params: Bm25Params) -> dict[str, list[Passage]]:

@@ -15,14 +15,14 @@ lists sharing a prefix.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Demonstration, DemonstrationPool, TrainingInput
+from .data import (Demonstration, DemonstrationPool, RefResolver, TrainingInput, read_jsonl,
+                   write_jsonl)
 from .retriever import (
     EncoderConfig,
     EncodingCache,
@@ -455,43 +455,27 @@ def train_reranker(model: CrossEncoder, samples: list[DependencySample],
 
 
 def write_samples(path, samples: list[DependencySample]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in samples:
-            fh.write(json.dumps({
-                "input_id": s.input.input_id,
-                "shot": s.shot,
-                "prefix": [list(d.ref) for d in s.prefix],
-                "continuations": [
-                    {"last": list(c.demos[-1].ref), "llm_score": c.llm_score}
-                    for c in s.continuations
-                ],
-            }) + "\n")
+    write_jsonl(path, ({
+        "input_id": s.input.input_id,
+        "shot": s.shot,
+        "prefix": [list(d.ref) for d in s.prefix],
+        "continuations": [{"last": list(c.demos[-1].ref), "llm_score": c.llm_score}
+                          for c in s.continuations],
+    } for s in samples))
 
 
 def load_samples(path, inputs: list[TrainingInput],
                  pool: DemonstrationPool) -> list[DependencySample]:
-    by_id = {t.input_id: t for t in inputs}
-    by_ref = pool.by_ref()
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            inp = by_id.get(obj["input_id"])
-            if inp is None:
-                raise ValueError(f"{path}:{lineno}: unknown input {obj['input_id']!r}")
-            try:
-                prefix = tuple(by_ref[tuple(r)] for r in obj["prefix"])
-                continuations = tuple(
-                    DemoList(prefix + (by_ref[tuple(c["last"])],), float(c["llm_score"]))
-                    for c in obj["continuations"]
-                )
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: unknown demo ref {exc}") from exc
-            sample = DependencySample(inp, prefix, continuations)
-            if sample.shot != int(obj["shot"]):
-                raise ValueError(f"{path}:{lineno}: shot mismatch")
-            out.append(sample)
-    return out
+    refs = RefResolver(inputs, pool)
+
+    def parse(obj: dict) -> DependencySample:
+        inp = refs.input(obj["input_id"])
+        prefix = tuple(refs.demo(r) for r in obj["prefix"])
+        sample = DependencySample(inp, prefix, tuple(
+            DemoList(prefix + (refs.demo(c["last"]),), float(c["llm_score"]))
+            for c in obj["continuations"]))
+        if sample.shot != int(obj["shot"]):
+            raise ValueError("shot mismatch")
+        return sample
+
+    return read_jsonl(path, parse, "sample")

@@ -13,7 +13,6 @@ while all arithmetic runs in float64.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,7 +20,8 @@ from functools import lru_cache
 import numpy as np
 
 from .bm25 import tokenize
-from .data import Demonstration, DemonstrationPool, Label, Passage, Query, TrainingInput
+from .data import (Demonstration, DemonstrationPool, RefResolver, TrainingInput, read_jsonl,
+                   write_jsonl)
 
 logger = logging.getLogger(__name__)
 
@@ -414,36 +414,16 @@ def retrieve_topD(index: DenseIndex, model: BiEncoder, input, D: int) -> list[De
 
 
 def write_scored_sets(path, sets: list[ScoredCandidateSet]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in sets:
-            fh.write(json.dumps({
-                "input_id": s.input.input_id,
-                "candidates": [
-                    {"demo_ref": list(c.demo.ref), "llm_score": c.llm_score}
-                    for c in s.candidates
-                ],
-            }) + "\n")
+    write_jsonl(path, ({
+        "input_id": s.input.input_id,
+        "candidates": [{"demo_ref": list(c.demo.ref), "llm_score": c.llm_score}
+                       for c in s.candidates],
+    } for s in sets))
 
 
 def load_scored_sets(path, inputs: list[TrainingInput],
                      pool: DemonstrationPool) -> list[ScoredCandidateSet]:
-    by_id = {t.input_id: t for t in inputs}
-    by_ref = pool.by_ref()
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            inp = by_id.get(obj["input_id"])
-            if inp is None:
-                raise ValueError(f"{path}:{lineno}: unknown input {obj['input_id']!r}")
-            cands = []
-            for c in obj["candidates"]:
-                ref = tuple(c["demo_ref"])
-                if ref not in by_ref:
-                    raise ValueError(f"{path}:{lineno}: unknown demo {ref}")
-                cands.append(ScoredCandidate(by_ref[ref], float(c["llm_score"])))
-            out.append(ScoredCandidateSet(inp, cands))
-    return out
+    refs = RefResolver(inputs, pool)
+    return read_jsonl(path, lambda obj: ScoredCandidateSet(refs.input(obj["input_id"]), [
+        ScoredCandidate(refs.demo(c["demo_ref"]), float(c["llm_score"]))
+        for c in obj["candidates"]]), "scored set")

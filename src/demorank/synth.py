@@ -51,30 +51,9 @@ class SyntheticDataset:
     passage_topics: dict[str, int]
 
     def relevance_fn(self):
-        """Oracle mapping (query_text, passage_text) to ground truth.
-
-        Texts are looked up by id-independent content, so build the map on
-        texts.  Returns None for unknown texts (callers fall back to overlap).
-        """
-        q_topics = dict(self._text_topics(self.query_topics, queries=True))
-        p_topics = dict(self._text_topics(self.passage_topics, queries=False))
-
-        def fn(query_text: str, passage_text: str):
-            qt = q_topics.get(query_text)
-            pt = p_topics.get(passage_text)
-            if qt is None or pt is None:
-                return None
-            return qt == pt
-
-        return fn
-
-    def _text_topics(self, topic_map: dict[str, int], queries: bool):
-        for split in (self.train, self.test):
-            items = split.queries if queries else split.passages
-            for item in items:
-                t = topic_map.get(item.id)
-                if t is not None:
-                    yield item.text, t
+        """Oracle mapping (query_text, passage_text) to ground truth (None if unknown)."""
+        return relevance_fn_from_files(self.query_topics, self.passage_topics,
+                                       [self.train, self.test])
 
 
 def _make_vocab(params: SynthParams) -> tuple[list[str], list[list[str]]]:

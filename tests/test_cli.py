@@ -6,7 +6,8 @@ import shutil
 
 import pytest
 
-from demorank.cli import main
+from demorank import cli
+from demorank.cli import DATA_KEYS, main
 from demorank.config import load_config
 from demorank.pipeline import POLICIES, load_run
 
@@ -276,6 +277,32 @@ class TestStageChecks:
         assert run_cli(config_path, fresh, "mine-candidates") == 0
         assert ((fresh / "candidates.jsonl").read_bytes()
                 == (workdir / "candidates.jsonl").read_bytes())
+
+    def test_artifact_made_from_an_older_upstream_file_is_stale(self, tmp_path, capsys):
+        assert run_cli(write_config(tmp_path), tmp_path / "synth", "build-pool") == 0
+        shutil.copytree(tmp_path / "synth" / "data", tmp_path / "data")
+        config_path = write_config(tmp_path, {"data": {"source": "files", **{
+            f"{key}_path": f"data/{key}.{'tsv' if key.endswith('qrels') else 'jsonl'}"
+            for key in DATA_KEYS}}})
+        workdir = tmp_path / "work"
+        build_chain(config_path, workdir, upto="train-retriever")
+        passages = tmp_path / "data" / "train_passages.jsonl"
+        records = [json.loads(line) for line in passages.read_text().splitlines()]
+        passages.write_text("".join(json.dumps({**r, "text": "zzz " + r["text"]}) + "\n"
+                                    for r in records))
+        assert run_cli(config_path, workdir, "build-pool") == 0
+        assert run_cli(config_path, workdir, "train-retriever", global_args=("--force",)) == 3
+        assert ("artifact candidates.jsonl was made from an older pool.jsonl; "
+                "rerun 'mine-candidates'") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("force", [False, True])
+    def test_each_file_is_hashed_once_per_command(self, built, tmp_path, monkeypatch, force):
+        config_path, workdir = copy_built(built, tmp_path)
+        real, hashed = cli._hash_file, []
+        monkeypatch.setattr(cli, "_hash_file", lambda p: hashed.append(p) or real(p))
+        flags = ("--force",) if force else ()
+        assert run_cli(config_path, workdir, "rank", global_args=flags) == 0
+        assert hashed and len(hashed) == len(set(hashed))
 
 
 class TestScoreCache:

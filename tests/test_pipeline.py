@@ -432,6 +432,10 @@ class TestReports:
         assert obj["mean_ndcg"] == 0.75
         assert obj["per_query"] == {"q1": 0.75}
 
+    def test_from_json_reads_to_json(self):
+        report = EvalReport("random", 3, 0.5, {"q1": 0.5}, ["q2"], "digest", 0.25)
+        assert EvalReport.from_json(report.to_json()) == report
+
     def test_compare_reports_deltas(self):
         reports = [
             self.make_report("zero-shot", 0.5),

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import bm25, checkpoint, data, pipeline, reranker, retriever, scoring, synth
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, check_policies, load_config
 
 
 class ArtifactError(RuntimeError):
@@ -279,7 +279,7 @@ def _mine_candidates(s: Session, out: dict[str, Path]) -> str:
     data.write_jsonl(out["candidates.jsonl"], ({
         "input_id": inp.input_id,
         "demo_refs": [list(d.ref) for d in bm25.mine_candidates(
-            s.pool, index, inp, b, cfg.seeds.mining + ordinal, cfg.bm25.params())],
+            s.pool, index, inp, b, cfg.seeds.mining + ordinal, cfg.bm25)],
     } for ordinal, inp in enumerate(s.training_inputs)))
     return f"{len(s.training_inputs)} inputs x {2 * b} candidates"
 
@@ -293,7 +293,7 @@ def _load_candidates(path: Path, training_inputs, pool):
 
 def _score_candidates(s: Session, out: dict[str, Path]) -> str:
     mined = _load_candidates(s.ws.path("candidates.jsonl"), s.training_inputs, s.pool)
-    template = s.ws.config.template.build()
+    template = s.ws.config.template
     sets = [
         retriever.ScoredCandidateSet(inp, [
             retriever.ScoredCandidate(d, scoring.score_list(s.backend, template, [d], inp))
@@ -321,7 +321,7 @@ def _build_samples(s: Session, out: dict[str, Path]) -> str:
     retrieved = [retriever.retrieve_topD(s.dense_index, s.retriever_model, inp, m)
                  for inp in s.training_inputs]
     samples = reranker.construct_samples_for_corpus(
-        s.training_inputs, retrieved, s.backend, cfg.template.build(),
+        s.training_inputs, retrieved, s.backend, cfg.template,
         cfg.reranker.iterations, cfg.seeds.sampling, cfg.reranker.trajectories)
     reranker.write_samples(out["samples.jsonl"], samples)
     return f"{len(samples)} samples from {len(s.training_inputs)} inputs"
@@ -347,8 +347,8 @@ def _rank(policy: str, s: Session, out: dict[str, Path]) -> str:
     cfg = s.ws.config
     sel = cfg.selection
     ctx = pipeline.PolicyContext(
-        pool=s.pool, backend=s.backend, template=cfg.template.build(),
-        bm25_params=cfg.bm25.params(), shots=sel.shots, retrieve_d=sel.retrieve_d,
+        pool=s.pool, backend=s.backend, template=cfg.template,
+        bm25_params=cfg.bm25, shots=sel.shots, retrieve_d=sel.retrieve_d,
         per_query_selection=sel.per_query, seed=cfg.seeds.policy,
     )
     if policy == "bm25-demos":
@@ -465,23 +465,14 @@ def run_stage(s: Session, stage: Stage, force: bool) -> None:
     print(f"{stage.label}: {summary}")
 
 
-def _policies(ws: Workspace, args) -> list[str]:
-    chosen = getattr(args, "policy", None)
-    if not chosen:
-        return list(ws.config.selection.policies)
-    for p in chosen:
-        if p not in pipeline.POLICIES:
-            raise ConfigError(f"unknown policy {p!r}; expected one of {pipeline.POLICIES}")
-    return list(chosen)
-
-
 def run_command(ws: Workspace, args) -> int:
     if args.command == "print-config":
         print(ws.config.to_json())
         return 0
+    policies = check_policies(getattr(args, "policy", None) or ws.config.selection.policies)
     session = Session(ws, args.score_cache)
     try:
-        for stage in stages(_policies(ws, args)):
+        for stage in stages(policies):
             # A dataset read from files has no data stage to run.
             if stage.command == args.command and not ws.external.keys() & stage.outputs:
                 run_stage(session, stage, args.force)
@@ -521,10 +512,10 @@ def main(argv=None) -> int:
         config_dir = args.config.parent.resolve() if args.config else Path.cwd()
         args.workdir.mkdir(parents=True, exist_ok=True)
         return run_command(Workspace(args.workdir, config, config_dir), args)
-    except (ConfigError, data.CorpusError, bm25.PoolTooSmallError) as exc:
+    except (ConfigError, bm25.PoolTooSmallError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ArtifactError as exc:
+    except (ArtifactError, data.CorpusError) as exc:
         print(f"artifact error: {exc}", file=sys.stderr)
         return 3
     except scoring.BackendError as exc:

@@ -1,7 +1,9 @@
 """Experiment configuration: one JSON file drives every pipeline stage.
 
-Unknown keys are rejected, every seed is explicit in the resolved form, and
-the canonical JSON digest stamps artifacts so stale inputs are detected.
+Unknown keys are rejected and every value is checked when the config loads:
+each section is, or builds, the library parameter type it feeds, and a bad
+value is a ConfigError naming its section.  Every seed is explicit in the
+resolved form, and the canonical JSON digest stamps artifacts.
 """
 
 from __future__ import annotations
@@ -14,20 +16,25 @@ from hashlib import sha256
 from pathlib import Path
 
 from .bm25 import Bm25Params
+from .pipeline import POLICIES
 from .retriever import EncoderConfig, RetrieverTrainConfig
 from .reranker import RerankerTrainConfig
-from .scoring import (
-    DEFAULT_DEMO_FORMAT,
-    DEFAULT_INPUT_FORMAT,
-    DEFAULT_TASK,
-    MockScorerWeights,
-    PromptTemplate,
-)
+from .scoring import MockScorerWeights, PromptTemplate
 from .synth import SynthParams
 
 
 class ConfigError(ValueError):
     pass
+
+
+def check_policies(policies) -> list[str]:
+    """The policy names, once each is known to `pipeline.POLICIES`."""
+    if not policies:
+        raise ConfigError("no policy selected")
+    for p in policies:
+        if p not in POLICIES:
+            raise ConfigError(f"unknown policy {p!r}; expected one of {POLICIES}")
+    return list(policies)
 
 
 @dataclass(frozen=True)
@@ -55,29 +62,12 @@ class DataSection:
                          "test_queries_path", "test_passages_path", "test_qrels_path"):
                 if not getattr(self, name):
                     raise ConfigError(f"data.{name} is required when source is files")
+        self.synth_params()
 
     def synth_params(self) -> SynthParams:
-        try:
-            return SynthParams(self.topics, self.vocab, self.train_queries,
-                               self.test_queries, self.passages_per_query,
-                               self.tokens_per_text)
-        except ValueError as exc:
-            raise ConfigError(f"bad synthetic data params: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class TemplateSection:
-    task_description: str = DEFAULT_TASK
-    demo_format: str = DEFAULT_DEMO_FORMAT
-    input_format: str = DEFAULT_INPUT_FORMAT
-    separator: str = "\n\n"
-
-    def build(self) -> PromptTemplate:
-        try:
-            return PromptTemplate(self.task_description, self.demo_format,
-                                  self.input_format, self.separator)
-        except ValueError as exc:
-            raise ConfigError(f"bad prompt template: {exc}") from exc
+        return SynthParams(self.topics, self.vocab, self.train_queries,
+                           self.test_queries, self.passages_per_query,
+                           self.tokens_per_text)
 
 
 @dataclass(frozen=True)
@@ -108,28 +98,18 @@ class ScorerSection:
 
 
 @dataclass(frozen=True)
-class Bm25Section:
-    k1: float = 0.9
-    b: float = 0.4
-
-    def params(self) -> Bm25Params:
-        try:
-            return Bm25Params(self.k1, self.b)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-
-@dataclass(frozen=True)
 class EncoderSection:
     vocab_buckets: int = 4096
     dim: int = 64
     hidden: int = 64
 
+    def __post_init__(self) -> None:
+        self.config()
+        if self.hidden <= 0:
+            raise ConfigError("encoder.hidden must be positive")
+
     def config(self) -> EncoderConfig:
-        try:
-            return EncoderConfig(self.vocab_buckets, self.dim)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return EncoderConfig(self.vocab_buckets, self.dim)
 
 
 @dataclass(frozen=True)
@@ -147,16 +127,14 @@ class RetrieverSection:
             raise ConfigError(
                 "retriever.in_batch_negatives is reserved; the explicit-negatives "
                 "objective is the only implemented variant")
+        self.train_config(0)
 
     @property
     def candidates_n(self) -> int:
         return 2 * self.candidates_b
 
     def train_config(self, seed: int) -> RetrieverTrainConfig:
-        try:
-            return RetrieverTrainConfig(self.learning_rate, self.epochs, self.lam, seed)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return RetrieverTrainConfig(self.learning_rate, self.epochs, self.lam, seed)
 
 
 @dataclass(frozen=True)
@@ -168,13 +146,16 @@ class RerankerSection:
     learning_rate: float = 0.001
     epochs: int = 2
 
+    def __post_init__(self) -> None:
+        if self.iterations > self.retrieve_m:
+            raise ConfigError("reranker.iterations must not exceed reranker.retrieve_m")
+        if self.iterations < 1 or self.trajectories < 1:
+            raise ConfigError("reranker.iterations and reranker.trajectories must be at least 1")
+        self.train_config(0)
+
     def train_config(self, seed: int) -> RerankerTrainConfig:
-        try:
-            return RerankerTrainConfig(self.retrieve_m, self.iterations,
-                                       self.trajectories, self.max_pairs_per_sample,
-                                       self.learning_rate, self.epochs, seed)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return RerankerTrainConfig(self.max_pairs_per_sample, self.learning_rate,
+                                   self.epochs, seed)
 
 
 @dataclass(frozen=True)
@@ -188,6 +169,9 @@ class SelectionSection:
     def __post_init__(self) -> None:
         if self.shots < 0 or self.retrieve_d < 1:
             raise ConfigError("bad selection sizes")
+        if self.shots > self.retrieve_d:
+            raise ConfigError("selection.shots must not exceed selection.retrieve_d")
+        check_policies(self.policies)
 
 
 @dataclass(frozen=True)
@@ -207,20 +191,14 @@ class SeedsSection:
 @dataclass(frozen=True)
 class ExperimentConfig:
     data: DataSection = field(default_factory=DataSection)
-    template: TemplateSection = field(default_factory=TemplateSection)
+    template: PromptTemplate = field(default_factory=PromptTemplate)
     scorer: ScorerSection = field(default_factory=ScorerSection)
-    bm25: Bm25Section = field(default_factory=Bm25Section)
+    bm25: Bm25Params = field(default_factory=Bm25Params)
     encoder: EncoderSection = field(default_factory=EncoderSection)
     retriever: RetrieverSection = field(default_factory=RetrieverSection)
     reranker: RerankerSection = field(default_factory=RerankerSection)
     selection: SelectionSection = field(default_factory=SelectionSection)
     seeds: SeedsSection = field(default_factory=SeedsSection)
-
-    def __post_init__(self) -> None:
-        if self.reranker.iterations > self.reranker.retrieve_m:
-            raise ConfigError("reranker.iterations must not exceed reranker.retrieve_m")
-        if self.selection.shots > self.selection.retrieve_d:
-            raise ConfigError("selection.shots must not exceed selection.retrieve_d")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -247,22 +225,25 @@ def _build_section(cls, obj: dict, where: str):
             continue
         val = obj[f.name]
         hint = hints[f.name]
-        if hint is float and isinstance(val, int):
+        if hint is float and type(val) is int:
             val = float(val)
         if hint == tuple[str, ...] and isinstance(val, list):
             val = tuple(val)
+        if hint in (bool, int, float, str) and type(val) is not hint:
+            raise ConfigError(f"bad value in {where}: {f.name} must be {hint.__name__}, "
+                              f"got {val!r}")
         kwargs[f.name] = val
     try:
         return cls(**kwargs)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value in {where}: {exc}") from exc
 
 
 _SECTIONS = {
     "data": DataSection,
-    "template": TemplateSection,
+    "template": PromptTemplate,
     "scorer": ScorerSection,
-    "bm25": Bm25Section,
+    "bm25": Bm25Params,
     "encoder": EncoderSection,
     "retriever": RetrieverSection,
     "reranker": RerankerSection,

@@ -383,18 +383,14 @@ def reranker_loss_and_grads(model: CrossEncoder, samples: list[DependencySample]
 
 @dataclass(frozen=True)
 class RerankerTrainConfig:
-    retrieve_m: int = 50
-    iterations: int = 3
-    trajectories: int = 1
     max_pairs_per_sample: int | None = None
     learning_rate: float = 0.001
     epochs: int = 2
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.iterations <= self.retrieve_m:
-            raise ValueError("need 1 <= iterations <= retrieve_m")
-        if self.learning_rate <= 0 or self.epochs < 1 or self.trajectories < 1:
+        if self.learning_rate <= 0 or self.epochs < 1 or (
+                self.max_pairs_per_sample is not None and self.max_pairs_per_sample < 1):
             raise ValueError("bad reranker training config")
 
 

@@ -180,6 +180,34 @@ class TestExitCodes:
                        "--policy", "clairvoyant") == 2
         assert "unknown policy" in capsys.readouterr().err
 
+    def test_unknown_policy_in_config_fails_before_any_stage(self, tmp_path, capsys):
+        config_path = write_config(
+            tmp_path, {"selection": {"policies": ["zero-shot", "zeroshot"]}})
+        assert run_cli(config_path, tmp_path / "work", "build-pool") == 2
+        assert "unknown policy 'zeroshot'" in capsys.readouterr().err
+        assert not (tmp_path / "work").exists()
+
+    def test_bad_value_fails_before_any_stage(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, {"reranker": {"epochs": 0}})
+        assert run_cli(config_path, tmp_path / "work", "build-pool") == 2
+        assert "config error: bad value in reranker" in capsys.readouterr().err
+        assert not (tmp_path / "work").exists()
+
+    def test_malformed_artifact_is_an_artifact_error(self, built, tmp_path, capsys):
+        config_path, workdir = copy_built(built, tmp_path)
+        path = workdir / "candidates.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = '{"input_id": "no such input", "demo_refs": []}\n'
+        path.write_text("".join(lines), encoding="utf-8")
+        manifest_path = workdir / "manifests" / "mine-candidates.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["outputs"]["candidates.jsonl"] = cli._hash_file(path)
+        manifest_path.write_text(json.dumps(manifest))
+        assert run_cli(config_path, workdir, "score-candidates") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("artifact error: ")
+        assert "candidates.jsonl:2: malformed candidates record" in err
+
     def test_http_backend_without_endpoint(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("DEMORANK_SCORER_URL", raising=False)
         config_path = write_config(tmp_path, {"scorer": {"backend": "http"}})

@@ -1,11 +1,13 @@
 """Tests for the experiment configuration file format and its digest."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from demorank.bm25 import Bm25Params
 from demorank.config import (
-    Bm25Section,
     ConfigError,
     DataSection,
     EncoderSection,
@@ -14,13 +16,12 @@ from demorank.config import (
     RetrieverSection,
     ScorerSection,
     SelectionSection,
-    TemplateSection,
     config_from_dict,
     load_config,
 )
 from demorank.retriever import RetrieverTrainConfig
 from demorank.reranker import RerankerTrainConfig
-from demorank.scoring import MockScorerWeights
+from demorank.scoring import MockScorerWeights, PromptTemplate
 from demorank.synth import SynthParams
 
 
@@ -50,6 +51,9 @@ class TestDefaults:
         assert (cfg.encoder.vocab_buckets, cfg.encoder.dim, cfg.encoder.hidden) == \
             (4096, 64, 64)
         assert (cfg.bm25.k1, cfg.bm25.b) == (0.9, 0.4)
+        assert cfg.bm25 == Bm25Params()
+        assert cfg.template == PromptTemplate()
+        assert cfg.template.separator == "\n\n"
 
     def test_every_seed_is_explicit(self):
         seeds = ExperimentConfig().seeds
@@ -85,6 +89,20 @@ class TestDigest:
     def test_to_dict_round_trip(self):
         cfg = ExperimentConfig()
         assert config_from_dict(cfg.to_dict()) == cfg
+
+    # Checkpoints, reports and compare.json record these digests, so a change
+    # to the config's types must leave them as they are.
+    @pytest.mark.parametrize("obj,digest", [
+        ({}, "4d057db8d91e30b523fa3d64c6effc8de4ec3609f1f4b2b46b80d649d4fc0c85"),
+        ({"seeds": {"data": 11}, "data": {"train_queries": 50, "test_queries": 12}},
+         "70ac07a7b7dfa4a0f0445d207c15cda35c5a12dc95bcd1b98f7313efff12a099"),
+        ({"seeds": {"data": 11}, "data": {"train_queries": 12, "test_queries": 3},
+          "retriever": {"candidates_b": 12}, "reranker": {"retrieve_m": 24},
+          "scorer": {"backend": "http", "max_in_flight": 2}},
+         "be0aa87cb0d618d3128bbdd01c0ec5726066c115b38a13e23f517209c7a11902"),
+    ], ids=["default", "desk-mock", "http"])
+    def test_digest_is_pinned(self, obj, digest):
+        assert config_from_dict(obj).digest() == digest
 
 
 class TestCoercions:
@@ -157,6 +175,34 @@ class TestValidation:
         with pytest.raises(ConfigError, match="shots must not exceed"):
             config_from_dict({"selection": {"shots": 5, "retrieve_d": 4}})
 
+    @pytest.mark.parametrize("key,value", [
+        ("data.topics", 0),
+        ("template.input_format", "Passage: {passage}"),  # no {query}
+        ("bm25.k1", -1),
+        ("encoder.dim", 0),
+        ("encoder.hidden", 0),
+        ("retriever.learning_rate", -1),
+        ("retriever.lam", -1),
+        ("reranker.epochs", 0),
+        ("reranker.learning_rate", 0),
+        ("reranker.trajectories", 0),
+        ("reranker.iterations", 0),
+        ("reranker.max_pairs_per_sample", 0),
+        ("selection.policies", ["zero-shot", "zeroshot"]),
+        ("selection.policies", []),
+        ("reranker.epochs", 2.5),
+        ("template.separator", 5),
+        ("selection.per_query", "yes"),
+    ])
+    def test_bad_value_fails_at_load_naming_its_section(self, key, value):
+        section, name = key.split(".")
+        with pytest.raises(ConfigError, match=f"bad value in {section}: "):
+            config_from_dict({section: {name: value}})
+
+    def test_unknown_policy_message(self):
+        with pytest.raises(ConfigError, match="unknown policy 'zeroshot'; expected one of"):
+            config_from_dict({"selection": {"policies": ["zeroshot"]}})
+
 
 class TestSectionBuilders:
     def test_synth_params(self):
@@ -165,39 +211,26 @@ class TestSectionBuilders:
         assert section.synth_params() == SynthParams(5, 60, 10, 4, 6, 8)
 
     def test_bad_synth_params_wrapped(self):
-        with pytest.raises(ConfigError, match="bad synthetic data params"):
-            DataSection(topics=0).synth_params()
-
-    def test_template_build(self):
-        template = TemplateSection().build()
-        assert template.separator == "\n\n"
-
-    def test_bad_template_wrapped(self):
-        with pytest.raises(ConfigError, match="bad prompt template"):
-            TemplateSection(demo_format="no holes here").build()
-
-    def test_bm25_params_wrapped(self):
-        assert Bm25Section().params().k1 == 0.9
-        with pytest.raises(ConfigError):
-            Bm25Section(k1=-1.0).params()
+        with pytest.raises(ConfigError, match="bad value in data: topics must be positive"):
+            config_from_dict({"data": {"topics": 0}})
 
     def test_encoder_config_wrapped(self):
         assert EncoderSection().config().vocab_buckets == 4096
-        with pytest.raises(ConfigError):
-            EncoderSection(dim=0).config()
+        with pytest.raises(ConfigError, match="bad value in encoder"):
+            config_from_dict({"encoder": {"dim": 0}})
 
     def test_retriever_train_config(self):
         assert RetrieverSection().train_config(29) == RetrieverTrainConfig(
             learning_rate=0.05, epochs=2, lam=0.2, seed=29)
-        with pytest.raises(ConfigError):
-            RetrieverSection(learning_rate=-1.0).train_config(29)
+        with pytest.raises(ConfigError, match="bad value in retriever"):
+            config_from_dict({"retriever": {"learning_rate": -1.0}})
 
     def test_reranker_train_config(self):
-        assert RerankerSection().train_config(41) == RerankerTrainConfig(
-            retrieve_m=50, iterations=3, trajectories=1, max_pairs_per_sample=None,
-            learning_rate=0.001, epochs=2, seed=41)
-        with pytest.raises(ConfigError):
-            RerankerSection(epochs=0).train_config(41)
+        assert RerankerSection(max_pairs_per_sample=5).train_config(41) == \
+            RerankerTrainConfig(max_pairs_per_sample=5, learning_rate=0.001, epochs=2,
+                                seed=41)
+        with pytest.raises(ConfigError, match="bad value in reranker"):
+            config_from_dict({"reranker": {"epochs": 0}})
 
     def test_mock_weights(self):
         assert ScorerSection().mock_weights() == MockScorerWeights(
@@ -222,3 +255,20 @@ class TestLoadConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
+
+
+def _readme_config_block() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1]
+    return section.split("```jsonc\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_config_block_lists_every_key_with_its_default():
+    block = json.loads(re.sub(r"//[^\n]*", "", _readme_config_block()))
+    defaults = json.loads(ExperimentConfig().to_json())
+    assert list(block) == list(ExperimentConfig().to_dict())
+    for section, values in block.items():
+        assert set(values) == set(defaults[section]), section
+        for key, value in values.items():
+            if value != "...":
+                assert value == defaults[section][key], f"{section}.{key}"

@@ -435,15 +435,11 @@ class TestRerankerGradients:
 class TestTrainReranker:
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            RerankerTrainConfig(iterations=0)
-        with pytest.raises(ValueError):
-            RerankerTrainConfig(iterations=8, retrieve_m=4)
-        with pytest.raises(ValueError):
             RerankerTrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             RerankerTrainConfig(epochs=0)
         with pytest.raises(ValueError):
-            RerankerTrainConfig(trajectories=0)
+            RerankerTrainConfig(max_pairs_per_sample=0)
 
     def test_rejects_empty_samples(self):
         model = CrossEncoder.init(EncoderConfig(vocab_buckets=16, dim=4), 4, 42)
@@ -453,7 +449,7 @@ class TestTrainReranker:
     def test_deterministic_and_leaves_input_untouched(self, toy_chain):
         model = CrossEncoder.init(toy_chain["config"], 8, 37)
         before = model.embeddings.copy()
-        cfg = RerankerTrainConfig(iterations=2, retrieve_m=8, seed=41, epochs=1)
+        cfg = RerankerTrainConfig(seed=41, epochs=1)
         a = train_reranker(model, toy_chain["samples"], cfg)
         b = train_reranker(model, toy_chain["samples"], cfg)
         np.testing.assert_array_equal(a.embeddings, b.embeddings)
@@ -468,7 +464,7 @@ class TestTrainReranker:
         model = CrossEncoder.init(toy_chain["config"], 8, 37)
         losses = [list_pairwise_loss(model, toy_chain["samples"])]
         for epochs in (1, 2, 3):
-            cfg = RerankerTrainConfig(iterations=2, retrieve_m=8, seed=41, epochs=epochs)
+            cfg = RerankerTrainConfig(seed=41, epochs=epochs)
             trained = train_reranker(model, toy_chain["samples"], cfg)
             losses.append(list_pairwise_loss(trained, toy_chain["samples"]))
         for earlier, later in zip(losses, losses[1:]):
@@ -476,7 +472,7 @@ class TestTrainReranker:
 
     def test_parameters_stay_float32_representable(self, toy_chain):
         model = CrossEncoder.init(toy_chain["config"], 8, 37)
-        cfg = RerankerTrainConfig(iterations=2, retrieve_m=8, seed=41, epochs=1)
+        cfg = RerankerTrainConfig(seed=41, epochs=1)
         trained = train_reranker(model, toy_chain["samples"], cfg)
         for arr in (trained.embeddings, trained.w1, trained.b1, trained.w2, trained.b2):
             np.testing.assert_array_equal(arr, snap_f32(arr))

@@ -86,10 +86,9 @@ def toy_trained(toy_chain):
                                 RetrieverTrainConfig(seed=29))
     rr0 = CrossEncoder.init(toy_chain["config"], 8, 37)
     full = train_reranker(rr0, toy_chain["samples"],
-                          RerankerTrainConfig(iterations=2, retrieve_m=8, seed=41))
+                          RerankerTrainConfig(seed=41))
     capped = train_reranker(rr0, toy_chain["samples"],
-                            RerankerTrainConfig(iterations=2, retrieve_m=8, seed=41,
-                                                max_pairs_per_sample=5))
+                            RerankerTrainConfig(seed=41, max_pairs_per_sample=5))
     return {
         "toy.retriever": {"embeddings": digest(retriever.embeddings)},
         "toy.reranker": reranker_digests(full),

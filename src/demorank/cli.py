@@ -79,6 +79,9 @@ class Workspace:
         for sub in ("manifests", "data", "runs", "reports"):
             (self.root / sub).mkdir(parents=True, exist_ok=True)
         self.hashes: dict[Path, str] = {}  # file -> SHA-256, for this command
+        # stage -> its manifest, once `_check` has walked the manifest's inputs;
+        # cleared whenever a manifest is written
+        self.vouched: dict[str, dict] = {}
 
     def path(self, rel: str) -> Path:
         return self.external.get(rel) or self.root / DATA_FILES.get(rel, rel)
@@ -103,6 +106,7 @@ class Workspace:
         """Record the config digest, the inputs' digests and the new outputs'."""
         for p in outputs.values():  # rewritten by the stage
             self.hashes.pop(p, None)
+        self.vouched.clear()
         manifest = {
             "format_version": 1,
             "command": command,
@@ -135,12 +139,13 @@ class Workspace:
         """The SHA-256 of an artifact on disk, once its producer's manifest
         vouches for it and for each of its upstream files.  Upstream files
         that are absent are skipped, so a stage can run from a copy of just
-        its own inputs and their manifests."""
+        its own inputs and their manifests.  Each producer's manifest is read
+        and its upstream walked once, however many of its outputs are checked."""
         digest = self.hash(self.path(rel))
         stage = None if rel in self.external else PRODUCERS.get(rel)
         if stage:
             rerun = f"rerun '{stage.command}'"
-            manifest = self.read_manifest(stage.name)
+            manifest = self.vouched.get(stage.name) or self.read_manifest(stage.name)
             if manifest is None:
                 raise ArtifactError(f"artifact {rel} has no manifest; {rerun}")
             if manifest.get("config_digest") != self.digest:
@@ -152,9 +157,12 @@ class Workspace:
             if recorded is not None and digest != recorded:
                 raise ArtifactError(
                     f"artifact {rel} changed since '{stage.command}' wrote it; {rerun}")
-            for key, upstream in manifest.get("inputs", {}).items():
-                if self.path(key).exists() and self._check(key) != upstream:
-                    raise ArtifactError(f"artifact {rel} was made from an older {key}; {rerun}")
+            if stage.name not in self.vouched:
+                for key, upstream in manifest.get("inputs", {}).items():
+                    if self.path(key).exists() and self._check(key) != upstream:
+                        raise ArtifactError(
+                            f"artifact {rel} was made from an older {key}; {rerun}")
+                self.vouched[stage.name] = manifest
         return digest
 
 
@@ -465,11 +473,10 @@ def run_stage(s: Session, stage: Stage, force: bool) -> None:
     print(f"{stage.label}: {summary}")
 
 
-def run_command(ws: Workspace, args) -> int:
+def run_command(ws: Workspace, args, policies: list[str]) -> int:
     if args.command == "print-config":
         print(ws.config.to_json())
         return 0
-    policies = check_policies(getattr(args, "policy", None) or ws.config.selection.policies)
     session = Session(ws, args.score_cache)
     try:
         for stage in stages(policies):
@@ -509,9 +516,10 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         config = load_config(args.config)
+        policies = check_policies(getattr(args, "policy", None) or config.selection.policies)
         config_dir = args.config.parent.resolve() if args.config else Path.cwd()
         args.workdir.mkdir(parents=True, exist_ok=True)
-        return run_command(Workspace(args.workdir, config, config_dir), args)
+        return run_command(Workspace(args.workdir, config, config_dir), args, policies)
     except (ConfigError, bm25.PoolTooSmallError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -28,12 +28,14 @@ class ConfigError(ValueError):
 
 
 def check_policies(policies) -> list[str]:
-    """The policy names, once each is known to `pipeline.POLICIES`."""
+    """The policy names, once each is known to `pipeline.POLICIES` and named once."""
     if not policies:
         raise ConfigError("no policy selected")
-    for p in policies:
+    for i, p in enumerate(policies):
         if p not in POLICIES:
             raise ConfigError(f"unknown policy {p!r}; expected one of {POLICIES}")
+        if p in policies[:i]:
+            raise ConfigError(f"policy {p!r} given twice")
     return list(policies)
 
 

@@ -3,7 +3,9 @@
 A scorer backend maps a rendered prompt (task description, k demonstrations,
 one test input) to a probability distribution over the Yes/No label space.
 Two backends ship: a deterministic mock built on token overlap, used for all
-tests and desk experiments, and an HTTP client for a real model server.
+tests and desk experiments, and an HTTP client for a real model server.  The
+HTTP client imports `requests` when it is built, so a process that only uses
+the mock never loads it.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from hashlib import sha256
 from math import exp
-from typing import Callable, Protocol
+from typing import TYPE_CHECKING, Callable, Protocol
 from urllib.parse import urljoin
-
-import requests
 
 from .bm25 import tokenize
 from .data import Demonstration, Label, LABEL_SPACE, TrainingInput
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -236,6 +239,8 @@ class HttpScorer:
                  session: requests.Session | None = None) -> None:
         if max_retries < 1:
             raise ValueError("max_retries must be at least 1")
+        import requests
+
         self.base_url = base_url
         self.timeout = timeout
         self.max_retries = max_retries
@@ -272,6 +277,8 @@ class HttpScorer:
         return LabelDistribution.from_unnormalized(yes, no)
 
     def distribution(self, request: ScoreRequest) -> LabelDistribution:
+        from requests import RequestException  # loaded by __init__
+
         body = self._body(request)
         url = self._url()
         last_err: Exception | None = None
@@ -294,7 +301,7 @@ class HttpScorer:
                     cause = f"status {status}"
                     continue
                 return self._parse(resp, request)
-            except (MalformedResponseError, requests.RequestException) as exc:
+            except (MalformedResponseError, RequestException) as exc:
                 last_err = exc
                 cause = type(exc).__name__
         raise BackendUnavailableError(

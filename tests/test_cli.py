@@ -1,11 +1,16 @@
 """End-to-end tests for the command-line pipeline driver."""
 
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import demorank
 from demorank import cli
 from demorank.cli import DATA_KEYS, main
 from demorank.config import load_config
@@ -179,6 +184,20 @@ class TestExitCodes:
         assert run_cli(config_path, tmp_path / "work", "rank",
                        "--policy", "clairvoyant") == 2
         assert "unknown policy" in capsys.readouterr().err
+        assert not (tmp_path / "work").exists()
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_duplicate_policy_fails_before_any_stage(self, tmp_path, capsys, where):
+        policies = ["zero-shot", "random", "random"]
+        if where == "config":
+            config_path = write_config(tmp_path, {"selection": {"policies": policies}})
+            flags = ()
+        else:
+            config_path = write_config(tmp_path)
+            flags = [arg for p in policies for arg in ("--policy", p)]
+        assert run_cli(config_path, tmp_path / "work", "rank", *flags) == 2
+        assert "policy 'random' given twice" in capsys.readouterr().err
+        assert not (tmp_path / "work").exists()
 
     def test_unknown_policy_in_config_fails_before_any_stage(self, tmp_path, capsys):
         config_path = write_config(
@@ -332,6 +351,21 @@ class TestStageChecks:
         assert run_cli(config_path, workdir, "rank", global_args=flags) == 0
         assert hashed and len(hashed) == len(set(hashed))
 
+    @pytest.mark.parametrize("force", [False, True])
+    def test_each_manifest_is_read_at_most_once_per_stage(self, built, tmp_path,
+                                                          monkeypatch, force):
+        config_path, workdir = copy_built(built, tmp_path)
+        run_stage, read_manifest = cli.run_stage, cli.Workspace.read_manifest
+        current, reads = [], []
+        monkeypatch.setattr(cli, "run_stage", lambda s, stage, force: (
+            current.append(stage.name) or run_stage(s, stage, force)))
+        monkeypatch.setattr(cli.Workspace, "read_manifest", lambda ws, name: (
+            reads.append((current[-1], name)) or read_manifest(ws, name)))
+        flags = ("--force",) if force else ()
+        assert run_cli(config_path, workdir, "rank", global_args=flags) == 0
+        assert {stage for stage, _ in reads} == {f"rank-{p}" for p in POLICIES}
+        assert len(reads) == len(set(reads))
+
 
 class TestScoreCache:
     def test_cache_persists_and_serves_hits(self, tmp_path, capsys):
@@ -388,3 +422,24 @@ class TestWorkdir:
         nested = tmp_path / "a" / "b" / "work"
         assert run_cli(config_path, nested, "build-pool") == 0
         assert (nested / "pool.jsonl").exists()
+
+
+class TestImportWeight:
+    def test_mock_chain_never_imports_requests(self, tmp_path):
+        """Only the HTTP scorer needs `requests`; a mock-backend process never loads it."""
+        script = "\n".join([
+            "import sys",
+            "import demorank, demorank.cli",
+            "for command in ('build-pool', 'mine-candidates', 'score-candidates'):",
+            "    argv = ['--config', sys.argv[1], '--workdir', sys.argv[2], command]",
+            "    assert demorank.cli.main(argv) == 0, command",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'requests'))",
+        ])
+        src = Path(demorank.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(write_config(tmp_path)), str(tmp_path / "work")],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "work" / "scored.jsonl").exists()
+        assert result.stdout.splitlines()[-1] == "[]"

@@ -190,6 +190,7 @@ class TestValidation:
         ("reranker.max_pairs_per_sample", 0),
         ("selection.policies", ["zero-shot", "zeroshot"]),
         ("selection.policies", []),
+        ("selection.policies", ["zero-shot", "random", "random"]),
         ("reranker.epochs", 2.5),
         ("template.separator", 5),
         ("selection.per_query", "yes"),

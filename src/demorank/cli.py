@@ -57,6 +57,14 @@ def _hash_file(path: Path) -> str:
     return h.hexdigest()
 
 
+def read_artifact(path: Path, load, what: str):
+    """`load(path)`; a malformed file raises CorpusError naming it (exit 3)."""
+    try:
+        return load(path)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise data.CorpusError(f"{path}: malformed {what}: {exc}") from exc
+
+
 def atomic_produce(path: Path, producer) -> None:
     """Run `producer(tmp_path)` then rename the temp file into place."""
     tmp = path.with_suffix(path.suffix + ".tmp")
@@ -180,6 +188,7 @@ class Session:
     def __init__(self, ws: Workspace, score_cache: Path | None):
         self.ws = ws
         self.score_cache = score_cache
+        self.models: dict[str, object] = {}
 
     def _split(self, split: str) -> data.Dataset:
         return data.load_dataset(*(self.ws.path(f"{split}_{kind}")
@@ -201,17 +210,14 @@ class Session:
     def training_inputs(self) -> list[data.TrainingInput]:
         return data.load_training_inputs(self.ws.path("training_inputs.jsonl"))
 
-    @cached_property
-    def retriever_model(self) -> retriever.BiEncoder:
-        return checkpoint.load_retriever(self.ws.path("retriever.ckpt"))[0]
-
-    @cached_property
-    def dense_index(self) -> retriever.DenseIndex:
-        return retriever.DenseIndex.build(self.retriever_model, self.pool)
-
-    @cached_property
-    def reranker_model(self) -> reranker.CrossEncoder:
-        return checkpoint.load_reranker(self.ws.path("reranker.ckpt"))[0]
+    def model(self, name: str):
+        """The trained "retriever" or "reranker", read from `<name>.ckpt`."""
+        if name not in self.models:
+            load = {"retriever": checkpoint.load_retriever,
+                    "reranker": checkpoint.load_reranker}[name]
+            self.models[name] = read_artifact(self.ws.path(f"{name}.ckpt"), load,
+                                              "checkpoint")[0]
+        return self.models[name]
 
     @cached_property
     def backend(self) -> scoring.CachedScorer:
@@ -325,9 +331,13 @@ def _train_retriever(s: Session, out: dict[str, Path]) -> str:
 
 def _build_samples(s: Session, out: dict[str, Path]) -> str:
     cfg = s.ws.config
+    if cfg.reranker.iterations > len(s.pool):
+        raise ConfigError(f"reranker.iterations is {cfg.reranker.iterations} but the pool "
+                          f"has {len(s.pool)} demos; lower it or build a larger pool")
     m = min(cfg.reranker.retrieve_m, len(s.pool))
-    retrieved = [retriever.retrieve_topD(s.dense_index, s.retriever_model, inp, m)
-                 for inp in s.training_inputs]
+    model = s.model("retriever")
+    index = retriever.DenseIndex.build(model, s.pool)
+    retrieved = [retriever.retrieve_topD(index, model, inp, m) for inp in s.training_inputs]
     samples = reranker.construct_samples_for_corpus(
         s.training_inputs, retrieved, s.backend, cfg.template,
         cfg.reranker.iterations, cfg.seeds.sampling, cfg.reranker.trajectories)
@@ -346,11 +356,6 @@ def _train_reranker(s: Session, out: dict[str, Path]) -> str:
     return f"{len(samples)} samples, {train_cfg.epochs} epochs"
 
 
-# The trained models each ranking policy reads.
-POLICY_MODELS = {"retriever-topk": ("retriever.ckpt",),
-                 "demorank": ("retriever.ckpt", "reranker.ckpt")}
-
-
 def _rank(policy: str, s: Session, out: dict[str, Path]) -> str:
     cfg = s.ws.config
     sel = cfg.selection
@@ -358,13 +363,8 @@ def _rank(policy: str, s: Session, out: dict[str, Path]) -> str:
         pool=s.pool, backend=s.backend, template=cfg.template,
         bm25_params=cfg.bm25, shots=sel.shots, retrieve_d=sel.retrieve_d,
         per_query_selection=sel.per_query, seed=cfg.seeds.policy,
+        **{name: s.model(name) for name in pipeline.MODELS_BY_POLICY[policy]},
     )
-    if policy == "bm25-demos":
-        ctx.pool_bm25_index = bm25.build_pool_index(s.pool)
-    if policy in POLICY_MODELS:
-        ctx.retriever, ctx.dense_index = s.retriever_model, s.dense_index
-    if policy == "demorank":
-        ctx.reranker = s.reranker_model
     _, entries = pipeline.run_policy(policy, s.test, ctx, s.ws.digest)
     pipeline.write_run(out[f"runs/{policy}.run"], entries)
     return f"{len(entries)} entries"
@@ -382,8 +382,9 @@ def _evaluate(policy: str, s: Session, out: dict[str, Path]) -> str:
 
 
 def _compare(policies: list[str], s: Session, out: dict[str, Path]) -> str:
-    reports = [pipeline.EvalReport.from_json(
-        s.ws.path(f"reports/{policy}.json").read_text(encoding="utf-8")) for policy in policies]
+    reports = [read_artifact(s.ws.path(f"reports/{policy}.json"),
+                             lambda p: pipeline.EvalReport.from_json(p.read_text(encoding="utf-8")),
+                             "report") for policy in policies]
     comparison = pipeline.compare_reports(reports)
     comparison["config_digest"] = s.ws.digest
     out["compare.json"].write_text(json.dumps(comparison, sort_keys=True, indent=2),
@@ -440,7 +441,8 @@ def stages(policies=pipeline.POLICIES) -> list[Stage]:
               ("samples.jsonl",), _build_samples, scores=True),
         Stage("train-reranker", "train-reranker", (*POOL, "samples.jsonl"),
               ("reranker.ckpt",), _train_reranker),
-        *(Stage(f"rank-{p}", "rank", ("pool.jsonl", *TEST_SPLIT, *POLICY_MODELS.get(p, ())),
+        *(Stage(f"rank-{p}", "rank", ("pool.jsonl", *TEST_SPLIT,
+                                      *(f"{m}.ckpt" for m in pipeline.MODELS_BY_POLICY[p])),
                 (f"runs/{p}.run",), partial(_rank, p), scores=True, policy=p)
           for p in policies),
         *(Stage(f"evaluate-{p}", "evaluate", (f"runs/{p}.run", *TEST_SPLIT),
@@ -474,9 +476,6 @@ def run_stage(s: Session, stage: Stage, force: bool) -> None:
 
 
 def run_command(ws: Workspace, args, policies: list[str]) -> int:
-    if args.command == "print-config":
-        print(ws.config.to_json())
-        return 0
     session = Session(ws, args.score_cache)
     try:
         for stage in stages(policies):
@@ -516,6 +515,9 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         config = load_config(args.config)
+        if args.command == "print-config":  # reads and writes no artifact
+            print(config.to_json())
+            return 0
         policies = check_policies(getattr(args, "policy", None) or config.selection.policies)
         config_dir = args.config.parent.resolve() if args.config else Path.cwd()
         args.workdir.mkdir(parents=True, exist_ok=True)

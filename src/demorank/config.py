@@ -131,10 +131,6 @@ class RetrieverSection:
                 "objective is the only implemented variant")
         self.train_config(0)
 
-    @property
-    def candidates_n(self) -> int:
-        return 2 * self.candidates_b
-
     def train_config(self, seed: int) -> RetrieverTrainConfig:
         return RetrieverTrainConfig(self.learning_rate, self.epochs, self.lam, seed)
 
@@ -165,8 +161,7 @@ class SelectionSection:
     shots: int = 3
     retrieve_d: int = 30
     per_query: bool = False
-    policies: tuple[str, ...] = ("zero-shot", "random", "bm25-demos",
-                                 "retriever-topk", "demorank")
+    policies: tuple[str, ...] = POLICIES
 
     def __post_init__(self) -> None:
         if self.shots < 0 or self.retrieve_d < 1:

@@ -126,7 +126,6 @@ class Dataset:
 @dataclass
 class DemonstrationPool:
     demos: list[Demonstration]
-    per_query_counts: dict[str, tuple[int, int]] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.demos)
@@ -139,11 +138,6 @@ class DemonstrationPool:
 
     def by_ref(self) -> dict[tuple[str, str, str], Demonstration]:
         return {d.ref: d for d in self.demos}
-
-    def validate_balance(self) -> None:
-        for qid, (yes, no) in self.per_query_counts.items():
-            if yes != no:
-                raise CorpusError(f"unbalanced pool for query {qid!r}: {yes} Yes vs {no} No")
 
 
 @dataclass
@@ -174,7 +168,6 @@ def build_pool(dataset: Dataset, rng_seed: int) -> DemonstrationPool:
     all_pids = sorted(passages)
 
     demos: list[Demonstration] = []
-    counts: dict[str, tuple[int, int]] = {}
     for qid in sorted(queries):
         rel, irr = _split_judged(judged_by_q.get(qid, {}))
         if not rel:
@@ -197,12 +190,11 @@ def build_pool(dataset: Dataset, rng_seed: int) -> DemonstrationPool:
             demos.append(Demonstration(q, passages[pid], Label.YES))
         for pid in neg_pids:
             demos.append(Demonstration(q, passages[pid], Label.NO))
-        counts[qid] = (n, n)
 
     if not demos:
         raise EmptyPoolError("no query in the dataset has a usable relevant passage")
     demos.sort(key=lambda d: (d.query.id, d.passage.id, d.label.value))
-    return DemonstrationPool(demos, counts)
+    return DemonstrationPool(demos)
 
 
 def build_training_inputs(
@@ -362,11 +354,7 @@ def write_pool(path: str | Path, pool: DemonstrationPool) -> None:
 
 
 def load_pool(path: str | Path) -> DemonstrationPool:
-    demos = _read_pairs(path, Demonstration, "label", "pool record")
-    counts: dict[str, list[int]] = {}
-    for d in demos:
-        counts.setdefault(d.query.id, [0, 0])[0 if d.label is Label.YES else 1] += 1
-    return DemonstrationPool(demos, {q: (yes, no) for q, (yes, no) in counts.items()})
+    return DemonstrationPool(_read_pairs(path, Demonstration, "label", "pool record"))
 
 
 def write_training_inputs(path: str | Path, inputs: list[TrainingInput]) -> None:

@@ -11,20 +11,23 @@ import itertools
 import json
 import random
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from math import log2
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .bm25 import Bm25Params, InvertedIndex, bm25_search, build_index, build_pool_index
-from .data import Dataset, Demonstration, DemonstrationPool, Passage, Query, TrainingInput
+from .bm25 import Bm25Params, bm25_search, build_index, build_pool_index
+from .data import (CorpusError, Dataset, Demonstration, DemonstrationPool, Passage, Query,
+                   TrainingInput)
 from .reranker import CrossEncoder, cross_score_batch
 from .retriever import BiEncoder, DenseIndex, EncodingCache, retrieve_topD
 from .scoring import PromptTemplate, ScorerBackend, relevance_score, score_list
 
-POLICIES = ("zero-shot", "random", "bm25-demos", "retriever-topk", "demorank")
+# Each policy, with the trained models (PolicyContext fields) it reads.
+MODELS_BY_POLICY = {"zero-shot": (), "random": (), "bm25-demos": (),
+                    "retriever-topk": ("retriever",), "demorank": ("retriever", "reranker")}
+POLICIES = tuple(MODELS_BY_POLICY)
 
 
 @dataclass(frozen=True)
@@ -199,10 +202,13 @@ def load_run(path) -> list[RunEntry]:
             parts = line.split()
             if not parts:
                 continue
-            if len(parts) != 6 or parts[1] != "Q0":
-                raise ValueError(f"{path}:{lineno}: bad run line")
-            out.append(RunEntry(parts[0], parts[2], int(parts[3]),
-                                float(parts[4]), parts[5]))
+            try:
+                if len(parts) != 6 or parts[1] != "Q0":
+                    raise ValueError("want 'query_id Q0 passage_id rank score tag'")
+                out.append(RunEntry(parts[0], parts[2], int(parts[3]),
+                                    float(parts[4]), parts[5]))
+            except ValueError as exc:
+                raise CorpusError(f"{path}:{lineno}: bad run line: {exc}") from exc
     return out
 
 
@@ -217,18 +223,11 @@ class PolicyContext:
     template: PromptTemplate
     bm25_params: Bm25Params = Bm25Params()
     retriever: BiEncoder | None = None
-    dense_index: DenseIndex | None = None
     reranker: CrossEncoder | None = None
     shots: int = 3
     retrieve_d: int = 30
     per_query_selection: bool = False
     seed: int = 0
-    pool_bm25_index: InvertedIndex | None = None
-
-    def require(self, *names) -> None:
-        for name in names:
-            if getattr(self, name) is None:
-                raise ValueError(f"policy needs {name}")
 
 
 @dataclass
@@ -281,34 +280,37 @@ def _selector(policy: str, ctx: PolicyContext
               ) -> Callable[[RankInput, random.Random], list[Demonstration]]:
     """The policy's demo selection function, one call per test input.
 
-    Make a fresh one per `run_policy` call: it may memoize per call.
+    Make a fresh one per `run_policy` call: it builds the pool indexes it
+    searches and may memoize per call.
     """
+    for name in MODELS_BY_POLICY[policy]:
+        if getattr(ctx, name) is None:
+            raise ValueError(f"policy needs {name}")
     if policy == "zero-shot":
         return lambda input, rng: []
     if policy == "random":
         k = min(ctx.shots, len(ctx.pool))
         return lambda input, rng: [ctx.pool[i] for i in rng.sample(range(len(ctx.pool)), k)]
     if policy == "bm25-demos":
-        ctx.require("pool_bm25_index")
+        index = build_pool_index(ctx.pool)
         by_query: dict[str, list[Demonstration]] = {}  # the search reads only the query
 
         def bm25_demos(input, rng):
             text = input.query.text
             if text not in by_query:
                 by_query[text] = [ctx.pool[i] for i, _ in bm25_search(
-                    ctx.pool_bm25_index, ctx.bm25_params, text, top=ctx.shots)]
+                    index, ctx.bm25_params, text, top=ctx.shots)]
             return by_query[text]
         return bm25_demos
     if policy == "retriever-topk":
-        ctx.require("retriever", "dense_index")
-        return lambda input, rng: retrieve_topD(ctx.dense_index, ctx.retriever, input,
+        dense = DenseIndex.build(ctx.retriever, ctx.pool)
+        return lambda input, rng: retrieve_topD(dense, ctx.retriever, input,
                                                 ctx.retrieve_d)[:ctx.shots]
     if policy == "demorank":
-        ctx.require("retriever", "dense_index", "reranker")
+        dense = DenseIndex.build(ctx.retriever, ctx.pool)
         encodings = ctx.reranker.encodings()  # the reranker is frozen while ranking
-        return lambda input, rng: greedy_select(input, ctx.retriever, ctx.dense_index,
-                                                ctx.reranker, ctx.retrieve_d, ctx.shots,
-                                                encodings)
+        return lambda input, rng: greedy_select(input, ctx.retriever, dense, ctx.reranker,
+                                                ctx.retrieve_d, ctx.shots, encodings)
     raise ValueError(f"unknown policy {policy!r}")
 
 

@@ -14,7 +14,7 @@ while all arithmetic runs in float64.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -187,56 +187,38 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=np.float64)))
 
 
-def contrastive_loss(scores: np.ndarray, positive_index: int) -> float:
-    """Negative log-softmax of the positive candidate's score."""
+def contrastive_loss_and_grad(scores: np.ndarray,
+                              positive_index: int) -> tuple[float, np.ndarray]:
+    """Negative log-softmax of the positive candidate's score, and its gradient
+    (softmax minus the one-hot positive)."""
     s = np.asarray(scores, dtype=np.float64)
     m = s.max()
-    return float(np.log(np.sum(np.exp(s - m))) + m - s[positive_index])
-
-
-def contrastive_grad(scores: np.ndarray, positive_index: int) -> np.ndarray:
-    s = np.asarray(scores, dtype=np.float64)
-    e = np.exp(s - s.max())
-    g = e / e.sum()
+    e = np.exp(s - m)
+    total = e.sum()
+    g = e / total
     g[positive_index] -= 1.0
-    return g
+    return float(np.log(total) + m - s[positive_index]), g
 
 
-def ranknet_loss(scores: np.ndarray, ranks) -> float:
-    """Sum over better/worse pairs of log(1 + exp(s_worse - s_better)).
+def ranknet_loss_and_grad(scores: np.ndarray, ranks) -> tuple[float, np.ndarray]:
+    """Sum over better/worse pairs of log(1 + exp(s_worse - s_better)), and its
+    gradient.
 
     `ranks` is a permutation of 1..N where rank 1 is the best candidate.
     """
-    s_by_rank = _scores_in_rank_order(scores, ranks)
-    diff = s_by_rank[None, :] - s_by_rank[:, None]  # diff[i, j] = s_j - s_i
-    iu = np.triu_indices(len(s_by_rank), k=1)
-    return float(np.logaddexp(0.0, diff[iu]).sum())
-
-
-def ranknet_grad(scores: np.ndarray, ranks) -> np.ndarray:
-    s_by_rank = _scores_in_rank_order(scores, ranks)
-    n = len(s_by_rank)
-    diff = s_by_rank[None, :] - s_by_rank[:, None]
-    sig = stable_sigmoid(diff)
-    mask = np.triu(np.ones((n, n)), k=1)
-    g_by_rank = (sig * mask).sum(axis=0) - (sig * mask).sum(axis=1)
-    order = np.argsort(np.asarray(ranks))
-    g = np.empty(n, dtype=np.float64)
-    g[order] = g_by_rank
-    return g
-
-
-def _scores_in_rank_order(scores: np.ndarray, ranks) -> np.ndarray:
     s = np.asarray(scores, dtype=np.float64)
     r = np.asarray(ranks)
-    if sorted(r.tolist()) != list(range(1, len(s) + 1)):
+    n = len(s)
+    if sorted(r.tolist()) != list(range(1, n + 1)):
         raise ValueError("ranks must be a permutation of 1..N")
     order = np.argsort(r)
-    return s[order]
-
-
-def combined_loss(contrastive: float, ranknet: float, lam: float) -> float:
-    return lam * contrastive + ranknet
+    s_by_rank = s[order]
+    diff = s_by_rank[None, :] - s_by_rank[:, None]  # diff[i, j] = s_j - s_i
+    loss = float(np.logaddexp(0.0, diff[np.triu_indices(n, k=1)]).sum())
+    upper = stable_sigmoid(diff) * np.triu(np.ones((n, n)), k=1)
+    g = np.empty(n, dtype=np.float64)
+    g[order] = upper.sum(axis=0) - upper.sum(axis=1)
+    return loss, g
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +262,12 @@ def _set_loss_and_grad(table: np.ndarray, input_feats, demo_feats_list,
 
     loss = 0.0
     gs = np.zeros(len(demo_feats_list), dtype=np.float64)
-    if w_contrastive:
-        loss += w_contrastive * contrastive_loss(scores, positive_index)
-        gs += w_contrastive * contrastive_grad(scores, positive_index)
-    if w_ranknet:
-        loss += w_ranknet * ranknet_loss(scores, ranks)
-        gs += w_ranknet * ranknet_grad(scores, ranks)
+    for weight, objective, target in ((w_contrastive, contrastive_loss_and_grad, positive_index),
+                                      (w_ranknet, ranknet_loss_and_grad, ranks)):
+        if weight:
+            part_loss, part_grad = objective(scores, target)
+            loss += weight * part_loss
+            gs += weight * part_grad
 
     grad = np.zeros_like(table)
     scatter_feats(grad, input_feats, vmat.T @ gs)
@@ -387,6 +369,7 @@ def retriever_corpus_loss(model: BiEncoder, sets: list[ScoredCandidateSet],
 class DenseIndex:
     pool: DemonstrationPool
     matrix: np.ndarray  # (len(pool), dim)
+    warned_oversized: bool = field(default=False, init=False)  # retrieve_topD warns once
 
     @classmethod
     def build(cls, model: BiEncoder, pool: DemonstrationPool) -> "DenseIndex":
@@ -400,9 +383,10 @@ def retrieve_topD(index: DenseIndex, model: BiEncoder, input, D: int) -> list[De
     """Top-D pool demos by dot-product similarity, ties by pool ordinal."""
     if D <= 0:
         raise ValueError("D must be positive")
-    if D > len(index.pool):
+    if D > len(index.pool) and not index.warned_oversized:
         logger.warning("requested top %d from a pool of %d; returning all",
                        D, len(index.pool))
+        index.warned_oversized = True
     u = encode(model, input_text(input.query.text, input.passage.text))
     scores = index.matrix @ u
     order = np.argsort(-scores, kind="stable")

@@ -28,7 +28,7 @@ import time
 import numpy as np
 import pytest
 
-from demorank.bm25 import Bm25Params, bm25_search, build_index, build_pool_index, tokenize
+from demorank.bm25 import Bm25Params, bm25_search, build_index, tokenize
 from demorank.checkpoint import (
     load_reranker,
     load_retriever,
@@ -69,12 +69,12 @@ from demorank.retriever import (
     EncoderConfig,
     ScoredCandidate,
     ScoredCandidateSet,
-    contrastive_loss,
+    contrastive_loss_and_grad,
     contrastive_set_loss_and_grad,
     demo_text,
     encode,
     input_text,
-    ranknet_loss,
+    ranknet_loss_and_grad,
     ranknet_set_loss_and_grad,
     retrieve_topD,
     set_loss_and_grad,
@@ -294,8 +294,8 @@ class TestAcceptanceCriteria:
               f"M=50 K=3 case used {full.calls} calls (expected 147)")
 
     def test_criterion_04_loss_identities(self, record_criterion):
-        d_ln_n = abs(contrastive_loss(np.full(50, 0.7), 17) - 3.912023005428146)
-        d_pair = abs(ranknet_loss(np.array([0.4, 0.4]), [1, 2]) - math.log(2))
+        d_ln_n = abs(contrastive_loss_and_grad(np.full(50, 0.7), 17)[0] - 3.912023005428146)
+        d_pair = abs(ranknet_loss_and_grad(np.array([0.4, 0.4]), [1, 2])[0] - math.log(2))
         model = CrossEncoder.init(EncoderConfig(vocab_buckets=16, dim=4), 4, 42)
         model.embeddings = np.zeros_like(model.embeddings)
         model.w1 = np.zeros_like(model.w1)
@@ -309,7 +309,8 @@ class TestAcceptanceCriteria:
         d_list = abs(list_pairwise_loss(model, samples) - pairs * math.log(2))
         scores = rng.normal(size=6)
         ranks = list(rng.permutation(6) + 1)
-        d_shift_rn = abs(ranknet_loss(scores + 123.25, ranks) - ranknet_loss(scores, ranks))
+        d_shift_rn = abs(ranknet_loss_and_grad(scores + 123.25, ranks)[0]
+                         - ranknet_loss_and_grad(scores, ranks)[0])
         model2 = CrossEncoder.init(EncoderConfig(vocab_buckets=64, dim=8), 4, 42)
         samples2 = [random_sample(rng, 1, 4) for _ in range(5)]
         shifted = model2.copy()
@@ -385,7 +386,7 @@ class TestAcceptanceCriteria:
             demos = [make_demo(f"t{trial}_{j}", random_text(rng), random_text(rng),
                                Label.YES if rng.random() < 0.5 else Label.NO)
                      for j in range(n)]
-            pool = DemonstrationPool(sorted(demos, key=lambda d: d.ref), {})
+            pool = DemonstrationPool(sorted(demos, key=lambda d: d.ref))
             inp = make_input(random_text(rng), random_text(rng))
             index = DenseIndex.build(model, pool)
             d_req = int(rng.integers(1, n + 1))
@@ -441,12 +442,10 @@ class TestAcceptanceCriteria:
             backend=desk_state.backend,
             template=desk_state.template,
             retriever=desk_state.retriever_all,
-            dense_index=desk_state.dense_index,
             reranker=desk_state.reranker,
             shots=3,
             retrieve_d=30,
             seed=43,
-            pool_bm25_index=build_pool_index(desk_state.pool),
         )
         start = time.monotonic()
         means = {}

@@ -163,6 +163,10 @@ class TestPrintConfig:
         obj = json.loads(capsys.readouterr().out)
         assert obj["data"]["topics"] == 20
 
+    def test_leaves_no_workdir(self, tmp_path, capsys):
+        assert run_cli(write_config(tmp_path), tmp_path / "work", "print-config") == 0
+        assert not (tmp_path / "work").exists()
+
 
 class TestExitCodes:
     def test_invalid_config_file(self, tmp_path, capsys):
@@ -214,18 +218,42 @@ class TestExitCodes:
 
     def test_malformed_artifact_is_an_artifact_error(self, built, tmp_path, capsys):
         config_path, workdir = copy_built(built, tmp_path)
-        path = workdir / "candidates.jsonl"
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        lines[1] = '{"input_id": "no such input", "demo_refs": []}\n'
-        path.write_text("".join(lines), encoding="utf-8")
-        manifest_path = workdir / "manifests" / "mine-candidates.manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["outputs"]["candidates.jsonl"] = cli._hash_file(path)
-        manifest_path.write_text(json.dumps(manifest))
+        lines = (workdir / "candidates.jsonl").read_bytes().splitlines(keepends=True)
+        lines[1] = b'{"input_id": "no such input", "demo_refs": []}\n'
+        rewrite_vouched(workdir, "candidates.jsonl", "mine-candidates", b"".join(lines))
         assert run_cli(config_path, workdir, "score-candidates") == 3
         err = capsys.readouterr().err
         assert err.startswith("artifact error: ")
         assert "candidates.jsonl:2: malformed candidates record" in err
+
+    @pytest.mark.parametrize("rel, stage, command, mutate", [
+        ("runs/zero-shot.run", "rank-zero-shot", ["evaluate", "--policy", "zero-shot"],
+         lambda b: re.sub(rb"^(\S+ Q0 \S+ \d+) \S+", rb"\1 notanumber", b, count=1)),
+        ("reranker.ckpt", "train-reranker", ["rank", "--policy", "demorank"],
+         lambda b: b[:len(b) // 2]),
+        ("reports/random.json", "evaluate-random", ["compare"],
+         lambda b: json.dumps({k: v for k, v in json.loads(b).items()
+                               if k != "excluded_queries"}).encode()),
+    ], ids=["run-score", "truncated-checkpoint", "report-field"])
+    def test_malformed_output_is_an_artifact_error(self, built, tmp_path, capsys,
+                                                   rel, stage, command, mutate):
+        config_path, workdir = copy_built(built, tmp_path)
+        rewrite_vouched(workdir, rel, stage, mutate((workdir / rel).read_bytes()))
+        assert run_cli(config_path, workdir, *command) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("artifact error: ")
+        assert str(workdir / rel) in err
+
+    def test_iterations_beyond_the_pool_is_a_config_error(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, {"data": {"train_queries": 3},
+                                              "retriever": {"candidates_b": 2},
+                                              "reranker": {"iterations": 8}})
+        workdir = tmp_path / "work"
+        build_chain(config_path, workdir, upto="train-retriever")
+        assert run_cli(config_path, workdir, "build-samples") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: reranker.iterations is 8")
+        assert "pool has 6 demos" in err
 
     def test_http_backend_without_endpoint(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("DEMORANK_SCORER_URL", raising=False)
@@ -278,6 +306,16 @@ def copy_built(built, tmp_path):
     copy = tmp_path / "work"
     shutil.copytree(workdir, copy)
     return config_path, copy
+
+
+def rewrite_vouched(workdir, rel, stage, content: bytes) -> None:
+    """Replace an artifact and record its new hash in its producer's manifest,
+    so a stage reads the new bytes instead of rejecting them as changed."""
+    (workdir / rel).write_bytes(content)
+    manifest_path = workdir / "manifests" / f"{stage}.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["outputs"][rel] = cli._hash_file(workdir / rel)
+    manifest_path.write_text(json.dumps(manifest))
 
 
 class TestStageChecks:

@@ -37,7 +37,6 @@ class TestDefaults:
     def test_stage_defaults(self):
         cfg = ExperimentConfig()
         assert cfg.retriever.candidates_b == 25
-        assert cfg.retriever.candidates_n == 50
         assert cfg.retriever.learning_rate == 0.05
         assert cfg.retriever.epochs == 2
         assert cfg.retriever.lam == 0.2

@@ -1,12 +1,14 @@
 """Tests for demo selection policies, passage ranking, NDCG, and run files."""
 
+import dataclasses
 import json
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from demorank.bm25 import Bm25Params, build_pool_index
+from demorank.bm25 import Bm25Params
 from demorank.data import (
     Dataset,
     Demonstration,
@@ -351,12 +353,10 @@ def policy_world():
         backend=MockScorer(relevance_fn=synth.relevance_fn()),
         template=PromptTemplate(),
         retriever=retriever,
-        dense_index=DenseIndex.build(retriever, pool),
         reranker=CrossEncoder.init(EncoderConfig(vocab_buckets=128, dim=8), 4, 37),
         shots=2,
         retrieve_d=5,
         seed=43,
-        pool_bm25_index=build_pool_index(pool),
     )
     return synth, ctx
 
@@ -411,11 +411,20 @@ class TestRunPolicy:
 
     def test_missing_dependency_rejected(self, policy_world):
         synth, ctx = policy_world
-        import dataclasses
-
         bare = dataclasses.replace(ctx, retriever=None)
         with pytest.raises(ValueError, match="policy needs retriever"):
             run_policy("retriever-topk", synth.test, bare)
+
+    def test_oversized_retrieval_warns_once_per_policy(self, policy_world, caplog):
+        synth, ctx = policy_world
+        d = len(ctx.pool) + 5
+        wide = dataclasses.replace(ctx, retrieve_d=d)
+        for policy in ("retriever-topk", "demorank"):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="demorank.retriever"):
+                run_policy(policy, synth.test, wide)
+            assert [r.getMessage() for r in caplog.records] == [
+                f"requested top {d} from a pool of {len(ctx.pool)}; returning all"]
 
 
 class TestReports:

@@ -16,9 +16,7 @@ from demorank.retriever import (
     RetrieverTrainConfig,
     ScoredCandidate,
     ScoredCandidateSet,
-    combined_loss,
-    contrastive_grad,
-    contrastive_loss,
+    contrastive_loss_and_grad,
     contrastive_set_loss_and_grad,
     demo_text,
     encode,
@@ -27,8 +25,7 @@ from demorank.retriever import (
     fnv1a64,
     input_text,
     load_scored_sets,
-    ranknet_grad,
-    ranknet_loss,
+    ranknet_loss_and_grad,
     ranknet_set_loss_and_grad,
     retrieve_topD,
     retriever_corpus_loss,
@@ -208,16 +205,18 @@ class TestSnapF32:
 class TestContrastiveLoss:
     def test_equal_scores_give_log_n(self):
         for n in (2, 5, 50):
-            loss = contrastive_loss(np.full(n, 0.7), 0)
+            loss = contrastive_loss_and_grad(np.full(n, 0.7), 0)[0]
             assert loss == pytest.approx(math.log(n), abs=1e-9)
 
     def test_hand_computed_two_candidates(self):
         scores = np.array([2.0, 0.0])
-        assert contrastive_loss(scores, 0) == pytest.approx(math.log(1 + math.exp(-2)), abs=1e-12)
-        assert contrastive_loss(scores, 1) == pytest.approx(math.log(1 + math.exp(2)), abs=1e-12)
+        assert contrastive_loss_and_grad(scores, 0)[0] == pytest.approx(
+            math.log(1 + math.exp(-2)), abs=1e-12)
+        assert contrastive_loss_and_grad(scores, 1)[0] == pytest.approx(
+            math.log(1 + math.exp(2)), abs=1e-12)
 
     def test_large_scores_stable(self):
-        loss = contrastive_loss(np.array([1000.0, 0.0]), 0)
+        loss = contrastive_loss_and_grad(np.array([1000.0, 0.0]), 0)[0]
         assert math.isfinite(loss)
         assert loss == pytest.approx(0.0, abs=1e-12)
 
@@ -229,19 +228,21 @@ class TestContrastiveLoss:
             e = np.exp(scores - scores.max())
             expected = e / e.sum()
             expected[pos] -= 1.0
-            np.testing.assert_allclose(contrastive_grad(scores, pos), expected, atol=1e-12)
+            np.testing.assert_allclose(contrastive_loss_and_grad(scores, pos)[1], expected,
+                                       atol=1e-12)
 
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(42)
         h = 1e-6
         for _ in range(10):
             scores = rng.normal(size=5)
-            grad = contrastive_grad(scores, 2)
+            grad = contrastive_loss_and_grad(scores, 2)[1]
             for i in range(5):
                 up, down = scores.copy(), scores.copy()
                 up[i] += h
                 down[i] -= h
-                fd = (contrastive_loss(up, 2) - contrastive_loss(down, 2)) / (2 * h)
+                fd = (contrastive_loss_and_grad(up, 2)[0]
+                      - contrastive_loss_and_grad(down, 2)[0]) / (2 * h)
                 assert grad[i] == pytest.approx(fd, abs=1e-7)
 
 
@@ -249,13 +250,15 @@ class TestRanknetLoss:
     def test_equal_scores_give_pair_count_times_log2(self):
         for n in (2, 4, 7):
             ranks = list(range(1, n + 1))
-            loss = ranknet_loss(np.full(n, 0.3), ranks)
+            loss = ranknet_loss_and_grad(np.full(n, 0.3), ranks)[0]
             assert loss == pytest.approx(math.comb(n, 2) * math.log(2), abs=1e-9)
 
     def test_hand_computed_pair(self):
         scores = np.array([2.0, 0.0])
-        assert ranknet_loss(scores, [1, 2]) == pytest.approx(math.log(1 + math.exp(-2)), abs=1e-12)
-        assert ranknet_loss(scores, [2, 1]) == pytest.approx(math.log(1 + math.exp(2)), abs=1e-12)
+        assert ranknet_loss_and_grad(scores, [1, 2])[0] == pytest.approx(
+            math.log(1 + math.exp(-2)), abs=1e-12)
+        assert ranknet_loss_and_grad(scores, [2, 1])[0] == pytest.approx(
+            math.log(1 + math.exp(2)), abs=1e-12)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(42)
@@ -263,8 +266,8 @@ class TestRanknetLoss:
             n = int(rng.integers(2, 8))
             scores = rng.normal(size=n)
             ranks = list(rng.permutation(n) + 1)
-            base = ranknet_loss(scores, ranks)
-            shifted = ranknet_loss(scores + 17.5, ranks)
+            base = ranknet_loss_and_grad(scores, ranks)[0]
+            shifted = ranknet_loss_and_grad(scores + 17.5, ranks)[0]
             assert shifted == pytest.approx(base, abs=1e-9)
 
     def test_grad_matches_finite_differences(self):
@@ -274,32 +277,45 @@ class TestRanknetLoss:
             n = int(rng.integers(2, 7))
             scores = rng.normal(size=n)
             ranks = list(rng.permutation(n) + 1)
-            grad = ranknet_grad(scores, ranks)
+            grad = ranknet_loss_and_grad(scores, ranks)[1]
             for i in range(n):
                 up, down = scores.copy(), scores.copy()
                 up[i] += h
                 down[i] -= h
-                fd = (ranknet_loss(up, ranks) - ranknet_loss(down, ranks)) / (2 * h)
+                fd = (ranknet_loss_and_grad(up, ranks)[0]
+                      - ranknet_loss_and_grad(down, ranks)[0]) / (2 * h)
                 assert grad[i] == pytest.approx(fd, abs=1e-6)
 
     def test_grad_sums_to_zero(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
             n = int(rng.integers(2, 8))
-            grad = ranknet_grad(rng.normal(size=n), list(rng.permutation(n) + 1))
+            grad = ranknet_loss_and_grad(rng.normal(size=n), list(rng.permutation(n) + 1))[1]
             assert grad.sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_non_permutation_ranks(self):
         with pytest.raises(ValueError, match="permutation"):
-            ranknet_loss(np.array([1.0, 2.0]), [1, 1])
+            ranknet_loss_and_grad(np.array([1.0, 2.0]), [1, 1])
         with pytest.raises(ValueError, match="permutation"):
-            ranknet_loss(np.array([1.0, 2.0]), [0, 1])
+            ranknet_loss_and_grad(np.array([1.0, 2.0]), [0, 1])
 
 
 class TestCombinedLoss:
     def test_weighted_sum(self):
-        assert combined_loss(3.0, 2.0, 0.2) == pytest.approx(0.2 * 3.0 + 2.0, abs=1e-15)
-        assert combined_loss(3.0, 2.0, 0.0) == pytest.approx(2.0, abs=1e-15)
+        # The training objective is lam * contrastive + ranknet, loss and gradient.
+        rng = np.random.default_rng(42)
+        table = BiEncoder.init(EncoderConfig(vocab_buckets=16, dim=4), 42).embeddings
+        cand_set = make_candidate_set(rng, 5)
+        feats = text_features(
+            input_text(cand_set.input.query.text, cand_set.input.passage.text), 16)
+        demo_feats = [text_features(demo_text(c.demo), 16) for c in cand_set.candidates]
+        pos, ranks = cand_set.positive_index(), cand_set.ranks()
+        c_loss, c_grad = contrastive_set_loss_and_grad(table, feats, demo_feats, pos)
+        r_loss, r_grad = ranknet_set_loss_and_grad(table, feats, demo_feats, ranks)
+        for lam in (0.2, 0.0):
+            loss, grad = set_loss_and_grad(table, feats, demo_feats, pos, ranks, lam)
+            assert loss == pytest.approx(lam * c_loss + r_loss, abs=1e-12)
+            np.testing.assert_allclose(grad, lam * c_grad + r_grad, atol=1e-12)
 
 
 class TestScoredCandidateSet:
@@ -335,9 +351,8 @@ class TestSetLossAndGrad:
             u = encode(model, input_text(inp.query.text, inp.passage.text))
             scores = np.array([float(u @ encode(model, demo_text(c.demo)))
                                for c in cand_set.candidates])
-            expected = combined_loss(
-                contrastive_loss(scores, cand_set.positive_index()),
-                ranknet_loss(scores, cand_set.ranks()), 0.2)
+            expected = (0.2 * contrastive_loss_and_grad(scores, cand_set.positive_index())[0]
+                        + ranknet_loss_and_grad(scores, cand_set.ranks())[0])
             feats = text_features(input_text(inp.query.text, inp.passage.text), 16)
             demo_feats = [text_features(demo_text(c.demo), 16) for c in cand_set.candidates]
             loss, _ = set_loss_and_grad(model.embeddings, feats, demo_feats,
@@ -496,7 +511,7 @@ def make_pool(rng, n_demos: int):
         demos.append(make_demo(f"q{i // 2}", random_text(rng), f"p{i}",
                                random_text(rng), label))
     demos.sort(key=lambda d: d.ref)
-    return DemonstrationPool(demos, {})
+    return DemonstrationPool(demos)
 
 
 class TestRetrieveTopD:
@@ -545,7 +560,7 @@ class TestRetrieveTopD:
 
         model = BiEncoder.init(EncoderConfig(vocab_buckets=32, dim=4), 42)
         with pytest.raises(ValueError, match="empty pool"):
-            DenseIndex.build(model, DemonstrationPool([], {}))
+            DenseIndex.build(model, DemonstrationPool([]))
 
     def test_positive_rescaling_preserves_order(self):
         rng = np.random.default_rng(42)

@@ -88,53 +88,51 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
 # Model adapters
 
 
+def _shapes(meta: dict) -> dict[str, tuple[int, ...]]:
+    """Each tensor a checkpoint of this kind holds, in payload order, with the
+    shape its metadata implies."""
+    v, d = int(meta["vocab_buckets"]), int(meta["dim"])
+    if meta["kind"] == "bi_encoder":
+        return {"embeddings": (v, d)}
+    h = int(meta["hidden"])
+    return {"embeddings": (v, d), "w1": (h, 4 * d), "b1": (h,), "w2": (h,), "b2": (1,)}
+
+
+def _save_model(path, model, kind_meta: dict, config_digest: str) -> None:
+    """Save `model`'s tensors under `kind_meta` (its kind and any dimension of
+    its own) plus the encoder dimensions, hash scheme and config digest."""
+    meta = {**kind_meta, "vocab_buckets": model.config.vocab_buckets, "dim": model.config.dim,
+            "hash": HASH_SCHEME, "config_digest": config_digest}
+    save_checkpoint(path, meta, [(name, getattr(model, name)) for name in _shapes(meta)])
+
+
+def _load_model(path, kind: str) -> tuple[EncoderConfig, list[np.ndarray], dict]:
+    """The encoder config and the tensors in `_shapes` order, each checked."""
+    meta, tensors = load_checkpoint(path)
+    if meta.get("kind") != kind:
+        raise CheckpointFormatError(f"expected a {kind} checkpoint, got {meta.get('kind')!r}")
+    shapes = _shapes(meta)
+    for name, shape in shapes.items():
+        got = tensors[name].shape if name in tensors else "missing"
+        if got != shape:
+            raise CheckpointFormatError(f"{name} shape {got} does not match metadata {shape}")
+    config = EncoderConfig(int(meta["vocab_buckets"]), int(meta["dim"]))
+    return config, [tensors[name] for name in shapes], meta
+
+
 def save_retriever(path, model: BiEncoder, config_digest: str = "") -> None:
-    meta = {
-        "kind": "bi_encoder",
-        "vocab_buckets": model.config.vocab_buckets,
-        "dim": model.config.dim,
-        "hash": HASH_SCHEME,
-        "config_digest": config_digest,
-    }
-    save_checkpoint(path, meta, [("embeddings", model.embeddings)])
+    _save_model(path, model, {"kind": "bi_encoder"}, config_digest)
 
 
 def load_retriever(path) -> tuple[BiEncoder, dict]:
-    meta, tensors = load_checkpoint(path)
-    if meta.get("kind") != "bi_encoder":
-        raise CheckpointFormatError(f"expected a bi_encoder checkpoint, got {meta.get('kind')!r}")
-    config = EncoderConfig(int(meta["vocab_buckets"]), int(meta["dim"]))
-    emb = tensors["embeddings"]
-    if emb.shape != (config.vocab_buckets, config.dim):
-        raise CheckpointFormatError(f"embeddings shape {emb.shape} does not match metadata")
+    config, (emb,), meta = _load_model(path, "bi_encoder")
     return BiEncoder(config, emb), meta
 
 
 def save_reranker(path, model: CrossEncoder, config_digest: str = "") -> None:
-    meta = {
-        "kind": "cross_encoder",
-        "vocab_buckets": model.config.vocab_buckets,
-        "dim": model.config.dim,
-        "hidden": model.hidden,
-        "hash": HASH_SCHEME,
-        "config_digest": config_digest,
-    }
-    save_checkpoint(path, meta, [
-        ("embeddings", model.embeddings),
-        ("w1", model.w1), ("b1", model.b1), ("w2", model.w2), ("b2", model.b2),
-    ])
+    _save_model(path, model, {"kind": "cross_encoder", "hidden": model.hidden}, config_digest)
 
 
 def load_reranker(path) -> tuple[CrossEncoder, dict]:
-    meta, tensors = load_checkpoint(path)
-    if meta.get("kind") != "cross_encoder":
-        raise CheckpointFormatError(f"expected a cross_encoder checkpoint, got {meta.get('kind')!r}")
-    config = EncoderConfig(int(meta["vocab_buckets"]), int(meta["dim"]))
-    hidden = int(meta["hidden"])
-    model = CrossEncoder(config, hidden, tensors["embeddings"], tensors["w1"],
-                         tensors["b1"], tensors["w2"], tensors["b2"])
-    if model.embeddings.shape != (config.vocab_buckets, config.dim):
-        raise CheckpointFormatError("embeddings shape does not match metadata")
-    if model.w1.shape != (hidden, 4 * config.dim):
-        raise CheckpointFormatError("w1 shape does not match metadata")
-    return model, meta
+    config, arrays, meta = _load_model(path, "cross_encoder")
+    return CrossEncoder(config, int(meta["hidden"]), *arrays), meta

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import types
 import typing
 from dataclasses import dataclass, field
 from hashlib import sha256
@@ -208,6 +209,10 @@ class ExperimentConfig:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
+# Field types checked by exact type; a union of them (`int | None`) accepts any.
+_PLAIN_TYPES = {bool, int, float, str, types.NoneType}
+
+
 def _build_section(cls, obj: dict, where: str):
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object")
@@ -226,9 +231,10 @@ def _build_section(cls, obj: dict, where: str):
             val = float(val)
         if hint == tuple[str, ...] and isinstance(val, list):
             val = tuple(val)
-        if hint in (bool, int, float, str) and type(val) is not hint:
-            raise ConfigError(f"bad value in {where}: {f.name} must be {hint.__name__}, "
-                              f"got {val!r}")
+        allowed = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+        if set(allowed) <= _PLAIN_TYPES and type(val) not in allowed:
+            names = " or ".join("null" if t is types.NoneType else t.__name__ for t in allowed)
+            raise ConfigError(f"bad value in {where}: {f.name} must be {names}, got {val!r}")
         kwargs[f.name] = val
     try:
         return cls(**kwargs)

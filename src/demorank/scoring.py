@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from hashlib import sha256
-from math import exp
+from math import exp, isfinite
 from typing import TYPE_CHECKING, Callable, Protocol
 from urllib.parse import urljoin
 
@@ -111,6 +111,8 @@ class LabelDistribution:
         if yes < 0 or no < 0:
             raise MalformedResponseError(f"negative mass: yes={yes} no={no}")
         total = yes + no
+        if not isfinite(total):  # NaN, infinite or overflowing mass
+            raise MalformedResponseError(f"non-finite mass: yes={yes} no={no}")
         if total <= 0:
             raise MalformedResponseError("zero total mass over the label space")
         return cls(yes / total, no / total)
@@ -355,11 +357,14 @@ class ScoreCache:
             json.dump(snapshot, fh)
 
     def load(self, path) -> None:
-        """Merge a saved cache; ValueError if the file is not one."""
+        """Merge a saved cache; ValueError if the file is not one, or if an
+        entry is not a distribution `LabelDistribution` accepts."""
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
         try:
             entries = {k: (float(yes), float(no)) for k, (yes, no) in obj.items()}
+            for yes, no in entries.values():
+                LabelDistribution(yes, no)
         except (AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"not a JSON object of [p_yes, p_no] pairs: {exc}") from exc
         with self._lock:

@@ -1,11 +1,13 @@
 """Shared fixtures: the toy and desk-scale pipeline states behind the pins.
 
 toy_chain is a small seeded chain shared by the training tests.  desk_state
-rebuilds the default synthetic experiment once per session (seeds fixed, mock
-scorer with the ground-truth relevance oracle) and exposes every intermediate
-the pinned regression tests need.  The acceptance criteria summary collected
-by record_criterion is printed after the test summary so each criterion shows
-one pass/fail line per run.
+runs the default-config CLI chain (`build-pool` through `train-reranker`,
+mock scorer with the ground-truth relevance oracle) in-process once per
+session, reads back what it wrote, and adds only what the program does not
+make: an 80/20 split of the scored sets with a retriever trained on the 80%,
+the untrained models, and held-out inputs and samples.  The acceptance
+criteria summary collected by record_criterion is printed after the test
+summary so each criterion shows one pass/fail line per run.
 """
 
 import random
@@ -14,35 +16,37 @@ from dataclasses import dataclass
 
 import pytest
 
-from demorank.bm25 import build_pool_index, mine_candidates
+from demorank import cli
+from demorank.config import ExperimentConfig
 from demorank.data import Label, TrainingInput, build_pool, build_training_inputs
 from demorank.reranker import (
     CrossEncoder,
-    RerankerTrainConfig,
     construct_samples_for_corpus,
     cross_score_batch,
-    train_reranker,
+    load_samples,
 )
 from demorank.retriever import (
     BiEncoder,
     DenseIndex,
     EncoderConfig,
-    RetrieverTrainConfig,
-    ScoredCandidate,
-    ScoredCandidateSet,
     encode,
     demo_text,
     input_text,
+    load_scored_sets,
     retrieve_topD,
     train_retriever,
 )
-from demorank.scoring import CachedScorer, MockScorer, PromptTemplate, score_list
+from demorank.scoring import CachedScorer, MockScorer, PromptTemplate
 from demorank.synth import SynthParams, generate_synthetic_dataset
+
+# The CLI commands whose outputs desk_state reads, in run order.
+DESK_CHAIN = ("build-pool", "mine-candidates", "score-candidates",
+              "train-retriever", "build-samples", "train-reranker")
 
 
 @dataclass
 class DeskState:
-    synth: object
+    test: object
     pool: object
     inputs: list
     backend: object
@@ -52,11 +56,10 @@ class DeskState:
     held_sets: list
     retriever_untrained: object
     retriever_split: object  # trained on train_sets only
-    retriever_all: object  # trained on every set; feeds the reranker chain
-    dense_index: object
+    retriever_all: object  # the CLI's retriever.ckpt, trained on every set
     samples: list
     reranker_untrained: object
-    reranker: object
+    reranker: object  # the CLI's reranker.ckpt
     held_samples: list
     build_seconds: float
 
@@ -126,40 +129,31 @@ def toy_chain():
 
 
 @pytest.fixture(scope="session")
-def desk_state() -> DeskState:
+def desk_state(tmp_path_factory) -> DeskState:
     start = time.monotonic()
-    synth = generate_synthetic_dataset(SynthParams(), 11)
-    pool = build_pool(synth.train, 13)
-    inputs, _ = build_training_inputs(synth.train, 17)
-    backend = CachedScorer(MockScorer(relevance_fn=synth.relevance_fn()))
-    template = PromptTemplate()
-    index = build_pool_index(pool)
-    sets = []
-    for ordinal, inp in enumerate(inputs):
-        cands = mine_candidates(pool, index, inp, 25, 19 + ordinal)
-        sets.append(ScoredCandidateSet(inp, [
-            ScoredCandidate(d, score_list(backend, template, [d], inp))
-            for d in cands
-        ]))
+    cfg = ExperimentConfig()
+    workdir = tmp_path_factory.mktemp("desk")
+    for command in DESK_CHAIN:
+        assert cli.main(["--workdir", str(workdir), command]) == 0, command
+    s = cli.Session(cli.Workspace(workdir, cfg, workdir), None)
+    pool, inputs = s.pool, s.training_inputs
+    sets = load_scored_sets(s.ws.path("scored.jsonl"), inputs, pool)
     split = int(len(sets) * 0.8)
     train_sets, held_sets = sets[:split], sets[split:]
 
-    retr0 = BiEncoder.init(EncoderConfig(), 23)
-    retr_split = train_retriever(retr0, train_sets, RetrieverTrainConfig(seed=29))
-    retr_all = train_retriever(retr0, sets, RetrieverTrainConfig(seed=29))
-    dense_index = DenseIndex.build(retr_all, pool)
-
-    retrieved = [retrieve_topD(dense_index, retr_all, inp, 50) for inp in inputs]
-    samples = construct_samples_for_corpus(inputs, retrieved, backend, template, 3, 31)
-    rr0 = CrossEncoder.init(EncoderConfig(), 64, 37)
-    reranker = train_reranker(rr0, samples, RerankerTrainConfig(seed=41))
+    retr0 = BiEncoder.init(cfg.encoder.config(), cfg.seeds.retriever_init)
+    retr_split = train_retriever(retr0, train_sets,
+                                 cfg.retriever.train_config(cfg.seeds.retriever_train))
+    retr_all = s.model("retriever")
+    rr0 = CrossEncoder.init(cfg.encoder.config(), cfg.encoder.hidden,
+                            cfg.seeds.reranker_init)
 
     # Held-out inputs come from the test split: one Yes and one No per query.
     rng = random.Random(47)
-    judged_by_q = synth.test.judgments_by_query()
-    passages_by_id = synth.test.passages_by_id()
+    judged_by_q = s.test.judgments_by_query()
+    passages_by_id = s.test.passages_by_id()
     held_inputs = []
-    for q in sorted(synth.test.queries, key=lambda q: q.id):
+    for q in sorted(s.test.queries, key=lambda q: q.id):
         judged = judged_by_q.get(q.id, {})
         rel = sorted(p for p, g in judged.items() if g > 0)
         irr = sorted(p for p, g in judged.items() if g == 0)
@@ -168,19 +162,21 @@ def desk_state() -> DeskState:
                                              Label.YES))
             held_inputs.append(TrainingInput(q, passages_by_id[rng.choice(irr)],
                                              Label.NO))
-    held_retrieved = [retrieve_topD(dense_index, retr_all, inp, 50)
+    index = DenseIndex.build(retr_all, pool)
+    held_retrieved = [retrieve_topD(index, retr_all, inp, cfg.reranker.retrieve_m)
                       for inp in held_inputs]
-    held_samples = construct_samples_for_corpus(held_inputs, held_retrieved,
-                                                backend, template, 3, 530000)
+    held_samples = construct_samples_for_corpus(held_inputs, held_retrieved, s.backend,
+                                                cfg.template, cfg.reranker.iterations,
+                                                530000)
 
     return DeskState(
-        synth=synth, pool=pool, inputs=inputs, backend=backend,
-        template=template, sets=sets, train_sets=train_sets,
+        test=s.test, pool=pool, inputs=inputs, backend=s.backend,
+        template=cfg.template, sets=sets, train_sets=train_sets,
         held_sets=held_sets, retriever_untrained=retr0,
         retriever_split=retr_split, retriever_all=retr_all,
-        dense_index=dense_index, samples=samples, reranker_untrained=rr0,
-        reranker=reranker, held_samples=held_samples,
-        build_seconds=time.monotonic() - start,
+        samples=load_samples(s.ws.path("samples.jsonl"), inputs, pool),
+        reranker_untrained=rr0, reranker=s.model("reranker"),
+        held_samples=held_samples, build_seconds=time.monotonic() - start,
     )
 
 

@@ -450,7 +450,7 @@ class TestAcceptanceCriteria:
         start = time.monotonic()
         means = {}
         for policy in POLICIES:
-            report, _ = run_policy(policy, desk_state.synth.test, ctx)
+            report, _ = run_policy(policy, desk_state.test, ctx)
             means[policy] = report.mean_ndcg
         wall = desk_state.build_seconds + (time.monotonic() - start)
         ok = (means["demorank"] >= means["random"]

@@ -176,15 +176,26 @@ class TestRerankerCheckpoint:
         with pytest.raises(CheckpointFormatError, match="expected a cross_encoder"):
             load_reranker(path)
 
-    def test_w1_shape_mismatch_rejected(self, tmp_path):
+    @pytest.mark.parametrize("name", ["embeddings", "w1", "b1", "w2", "b2"])
+    def test_shape_mismatch_rejected(self, tmp_path, name):
+        """Each tensor must have the shape its metadata implies, so a wrong one
+        fails at load, not as a broadcast error in the first `cross_score`."""
+        shapes = {"embeddings": (32, 4), "w1": (2, 16), "b1": (2,), "w2": (2,), "b2": (1,)}
+        shapes[name] += (1,)  # one axis too many
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, {
             "kind": "cross_encoder", "vocab_buckets": 32, "dim": 4,
             "hidden": 2, "hash": "fnv1a64", "config_digest": "",
-        }, [
-            ("embeddings", np.zeros((32, 4))),
-            ("w1", np.zeros((2, 8))),  # should be (2, 16)
-            ("b1", np.zeros(2)), ("w2", np.zeros(2)), ("b2", np.zeros(1)),
-        ])
-        with pytest.raises(CheckpointFormatError, match="w1 shape"):
+        }, [(n, np.zeros(shape)) for n, shape in shapes.items()])
+        with pytest.raises(CheckpointFormatError, match=f"{name} shape .* does not match"):
+            load_reranker(path)
+
+    def test_missing_tensor_rejected(self, tmp_path):
+        model = CrossEncoder.init(EncoderConfig(vocab_buckets=32, dim=4), 2, 42)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {
+            "kind": "cross_encoder", "vocab_buckets": 32, "dim": 4,
+            "hidden": 2, "hash": "fnv1a64", "config_digest": "",
+        }, [(n, getattr(model, n)) for n in ("embeddings", "w1", "b1", "w2")])
+        with pytest.raises(CheckpointFormatError, match="b2 shape missing"):
             load_reranker(path)

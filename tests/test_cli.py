@@ -442,7 +442,7 @@ class TestScoreCache:
                        global_args=("--force",)) == 0
         assert (workdir / "scored.jsonl").read_bytes() == cached
 
-    @pytest.mark.parametrize("content", ["{bad", '{"x": 1}', "[]"])
+    @pytest.mark.parametrize("content", ["{bad", '{"x": 1}', "[]", '{"x": [2.0, -1.0]}'])
     def test_corrupt_cache_is_an_artifact_error(self, built, tmp_path, capsys, content):
         config_path, workdir = copy_built(built, tmp_path)
         cache_path = tmp_path / "scores.cache"

@@ -187,6 +187,8 @@ class TestValidation:
         ("reranker.trajectories", 0),
         ("reranker.iterations", 0),
         ("reranker.max_pairs_per_sample", 0),
+        ("reranker.max_pairs_per_sample", 2.5),
+        ("reranker.max_pairs_per_sample", True),
         ("selection.policies", ["zero-shot", "zeroshot"]),
         ("selection.policies", []),
         ("selection.policies", ["zero-shot", "random", "random"]),

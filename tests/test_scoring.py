@@ -6,6 +6,7 @@ import json
 import math
 import random
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -119,6 +120,8 @@ class TestLabelDistribution:
             LabelDistribution.from_unnormalized(-1.0, 2.0)
         with pytest.raises(MalformedResponseError):
             LabelDistribution.from_unnormalized(0.0, 0.0)
+        with pytest.raises(MalformedResponseError, match="non-finite"):
+            LabelDistribution.from_unnormalized(float("nan"), 1.0)
 
     def test_label_indexing(self):
         dist = LabelDistribution(0.7, 0.3)
@@ -463,6 +466,25 @@ class TestHttpScorer:
             scorer = HttpScorer(url, max_retries=1)
             with pytest.raises(BackendUnavailableError) as excinfo:
                 scorer.distribution(request([], "iq", "ip"))
+        assert isinstance(excinfo.value.__cause__, MalformedResponseError)
+
+    @pytest.mark.parametrize("mass", [float("nan"), float("inf")])
+    def test_non_finite_mass_is_malformed_and_retried(self, mass):
+        """`resp.json()` parses NaN and Infinity; such a body is retried like
+        any malformed one, not raised as a bare ValueError."""
+        class Session:
+            posts = 0
+
+            def post(self, url, json, timeout):
+                Session.posts += 1
+                return SimpleNamespace(status_code=200,
+                                       json=lambda: {"p": {"Yes": mass, "No": 1.0}})
+
+        scorer = HttpScorer("http://scorer", max_retries=2, backoff_base=0.001,
+                            session=Session())
+        with pytest.raises(BackendUnavailableError) as excinfo:
+            scorer.distribution(request([], "iq", "ip"))
+        assert Session.posts == 2
         assert isinstance(excinfo.value.__cause__, MalformedResponseError)
 
     def test_max_retries_validated(self):

@@ -98,10 +98,16 @@ class Workspace:
         return self.root / "manifests" / f"{name}.manifest.json"
 
     def read_manifest(self, name: str) -> dict | None:
+        """The stage's manifest, or None if it is missing or malformed."""
         try:
-            return json.loads(self.manifest_path(name).read_text(encoding="utf-8"))
+            manifest = json.loads(self.manifest_path(name).read_text(encoding="utf-8"))
         except (OSError, ValueError):
             return None
+        if isinstance(manifest, dict) and isinstance(manifest.get("config_digest"), str) and all(
+                isinstance(m, dict) and all(isinstance(v, str) for v in m.values())
+                for m in (manifest.get("inputs"), manifest.get("outputs"))):
+            return manifest
+        return None
 
     def hash(self, path: Path) -> str:
         """The file's SHA-256, computed once per command (see write_manifest)."""
@@ -156,17 +162,17 @@ class Workspace:
             manifest = self.vouched.get(stage.name) or self.read_manifest(stage.name)
             if manifest is None:
                 raise ArtifactError(f"artifact {rel} has no manifest; {rerun}")
-            if manifest.get("config_digest") != self.digest:
+            if manifest["config_digest"] != self.digest:
                 raise ArtifactError(
                     f"artifact {rel} was produced under config digest "
-                    f"{manifest.get('config_digest', '?')[:12]}, current is "
+                    f"{manifest['config_digest'][:12]}, current is "
                     f"{self.digest[:12]}; {rerun} (or --force the chain)")
-            recorded = manifest.get("outputs", {}).get(rel)
+            recorded = manifest["outputs"].get(rel)
             if recorded is not None and digest != recorded:
                 raise ArtifactError(
                     f"artifact {rel} changed since '{stage.command}' wrote it; {rerun}")
             if stage.name not in self.vouched:
-                for key, upstream in manifest.get("inputs", {}).items():
+                for key, upstream in manifest["inputs"].items():
                     if self.path(key).exists() and self._check(key) != upstream:
                         raise ArtifactError(
                             f"artifact {rel} was made from an older {key}; {rerun}")

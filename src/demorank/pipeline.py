@@ -75,13 +75,13 @@ def greedy_select(input, retriever: BiEncoder, index: DenseIndex,
                   encodings: EncodingCache | None = None) -> list[Demonstration]:
     """Retrieve top-D with the bi-encoder, then greedily pick k by reranker score.
 
-    Each text is encoded by the reranker once per `encodings` memo (from
-    `reranker.encodings()`), however many rounds and calls score it.
+    Each text is encoded by the reranker once per `encodings` memo, however
+    many rounds and calls score it.
     """
     if k > D:
         raise ValueError(f"k={k} must not exceed D={D}")
     candidates = retrieve_topD(index, retriever, input, D)
-    enc = encodings if encodings is not None else reranker.encodings()
+    enc = encodings if encodings is not None else EncodingCache(reranker.embeddings)
     return greedy_select_from(
         input, candidates, k,
         lambda prefix, rem: cross_score_batch(reranker, input, prefix, rem, enc))
@@ -308,7 +308,7 @@ def _selector(policy: str, ctx: PolicyContext
                                                 ctx.retrieve_d)[:ctx.shots]
     if policy == "demorank":
         dense = DenseIndex.build(ctx.retriever, ctx.pool)
-        encodings = ctx.reranker.encodings()  # the reranker is frozen while ranking
+        encodings = EncodingCache(ctx.reranker.embeddings)  # the reranker is frozen while ranking
         return lambda input, rng: greedy_select(input, ctx.retriever, dense, ctx.reranker,
                                                 ctx.retrieve_d, ctx.shots, encodings)
     raise ValueError(f"unknown policy {policy!r}")

@@ -26,7 +26,6 @@ from .data import (Demonstration, DemonstrationPool, RefResolver, TrainingInput,
 from .retriever import (
     EncoderConfig,
     EncodingCache,
-    FeatureCache,
     demo_text,
     feats_rows,
     input_text,
@@ -34,10 +33,11 @@ from .retriever import (
     sgd_rows,
     snap_f32,
     stable_sigmoid,
+    text_features,
 )
-# The featurization kernels stay importable from this module, where callers
-# and perfbench/spans.py (which wraps every module alias) expect them.
-from .retriever import encode_feats, text_features  # noqa: F401
+# encode_feats stays importable from this module, as perfbench/spans.py
+# (which wraps every module alias) expects.
+from .retriever import encode_feats  # noqa: F401
 from .scoring import PromptTemplate, ScorerBackend, score_list
 
 logger = logging.getLogger(__name__)
@@ -99,11 +99,6 @@ class CrossEncoder:
                             self.w1.copy(), self.b1.copy(), self.w2.copy(),
                             self.b2.copy())
 
-    def encodings(self, features: FeatureCache | None = None) -> EncodingCache:
-        """A memo of text encodings under the current embedding table."""
-        return EncodingCache(self.embeddings,
-                             features or FeatureCache(self.config.vocab_buckets))
-
 
 @dataclass(frozen=True)
 class _Lists:
@@ -146,8 +141,8 @@ def _forward(model: CrossEncoder, x_rows: np.ndarray) -> tuple[np.ndarray, np.nd
     return h @ model.w2 + model.b2[0], h
 
 
-def _backward(model: CrossEncoder, enc: EncodingCache, lists: _Lists,
-              h: np.ndarray, gscore: np.ndarray, grads: dict) -> None:
+def _backward(model: CrossEncoder, lists: _Lists, h: np.ndarray,
+              gscore: np.ndarray, grads: dict) -> None:
     """Add the gradient of sum(gscore * scores) to every parameter's grads.
 
     Table rows receive the input's, then each prefix demo's, then each last
@@ -166,34 +161,33 @@ def _backward(model: CrossEncoder, enc: EncodingCache, lists: _Lists,
     g_lasts = gx[:, 2 * d:3 * d] + gx[:, 3 * d:] * lists.e_input[None, :]
 
     table_grad = grads["embeddings"]
-    scatter_feats(table_grad, enc.features(lists.input_text), g_input)
+    buckets = model.config.vocab_buckets
+    scatter_feats(table_grad, text_features(lists.input_text, buckets), g_input)
     if lists.prefix_texts:
         g_each = g_prefix / len(lists.prefix_texts)
         for text in lists.prefix_texts:
-            scatter_feats(table_grad, enc.features(text), g_each)
+            scatter_feats(table_grad, text_features(text, buckets), g_each)
     for row, text in zip(g_lasts, lists.last_texts):
-        scatter_feats(table_grad, enc.features(text), row)
+        scatter_feats(table_grad, text_features(text, buckets), row)
 
 
 def cross_score(model: CrossEncoder, input, demos) -> float:
     """Predicted value of `demos` as an ordered demonstration list for `input`."""
     if not demos:
         raise EmptyListError("cross_score needs at least one demonstration")
-    scores, _ = _forward(model, _featurize(model.encodings(), input,
-                                           demos[:-1], demos[-1:]).x)
-    return float(scores[0])
+    return float(cross_score_batch(model, input, demos[:-1], demos[-1:])[0])
 
 
 def cross_score_batch(model: CrossEncoder, input, prefix, candidates,
                       encodings: EncodingCache | None = None) -> np.ndarray:
     """cross_score(input, prefix + [z]) for every candidate z, in one batch.
 
-    `encodings` (from `model.encodings()`) lets calls on a frozen model
-    share text encodings.
+    `encodings` (an `EncodingCache(model.embeddings)`) lets calls on a
+    frozen model share text encodings.
     """
     if not candidates:
         return np.empty(0, dtype=np.float64)
-    enc = encodings if encodings is not None else model.encodings()
+    enc = encodings if encodings is not None else EncodingCache(model.embeddings)
     scores, _ = _forward(model, _featurize(enc, input, prefix, candidates).x)
     return scores
 
@@ -340,7 +334,7 @@ def list_pairwise_loss(model: CrossEncoder, samples: list[DependencySample],
                        pair_rng: np.random.Generator | None = None) -> float:
     """Sum over samples and better/worse continuation pairs of
     log(1 + exp(score_worse - score_better)) under the model."""
-    enc = model.encodings()
+    enc = EncodingCache(model.embeddings)
     total = 0.0
     for sample in samples:
         scores, _ = _forward(model, _sample_lists(enc, sample).x)
@@ -351,14 +345,12 @@ def list_pairwise_loss(model: CrossEncoder, samples: list[DependencySample],
 
 def reranker_loss_and_grads(model: CrossEncoder, samples: list[DependencySample],
                             max_pairs_per_sample: int | None = None,
-                            pair_rng=None,
-                            features: FeatureCache | None = None) -> tuple[float, dict]:
+                            pair_rng=None) -> tuple[float, dict]:
     """List-pairwise loss over samples plus gradients for every parameter.
 
-    Each distinct text is encoded once for all samples; `features` lets a
-    caller share featurization across calls.
+    Each distinct text is encoded once for all samples.
     """
-    enc = model.encodings(features)
+    enc = EncodingCache(model.embeddings)
     grads = {
         "embeddings": np.zeros_like(model.embeddings),
         "w1": np.zeros_like(model.w1),
@@ -377,7 +369,7 @@ def reranker_loss_and_grads(model: CrossEncoder, samples: list[DependencySample]
         gscore = np.zeros(n, dtype=np.float64)
         np.add.at(gscore, jj, sig)
         np.add.at(gscore, ii, -sig)
-        _backward(model, enc, lists, h, gscore, grads)
+        _backward(model, lists, h, gscore, grads)
     return loss, grads
 
 
@@ -394,14 +386,14 @@ class RerankerTrainConfig:
             raise ValueError("bad reranker training config")
 
 
-def _group_rows(features: FeatureCache, group: list[DependencySample]) -> np.ndarray:
+def _group_rows(group: list[DependencySample], buckets: int) -> np.ndarray:
     """Table rows read by any text of a group's samples."""
-    feats = []
+    texts = []
     for s in group:
-        feats.append(features(input_text(s.input.query.text, s.input.passage.text)))
-        feats.extend(features(demo_text(d)) for d in s.prefix)
-        feats.extend(features(demo_text(c.demos[-1])) for c in s.continuations)
-    return feats_rows(feats)
+        texts.append(input_text(s.input.query.text, s.input.passage.text))
+        texts.extend(demo_text(d) for d in s.prefix)
+        texts.extend(demo_text(c.demos[-1]) for c in s.continuations)
+    return feats_rows([text_features(t, buckets) for t in texts])
 
 
 def train_reranker(model: CrossEncoder, samples: list[DependencySample],
@@ -419,8 +411,7 @@ def train_reranker(model: CrossEncoder, samples: list[DependencySample],
     for s in samples:
         groups.setdefault(s.input.input_id, []).append(s)
     keys = sorted(groups)
-    features = FeatureCache(model.config.vocab_buckets)
-    rows = [_group_rows(features, groups[key]) for key in keys]
+    rows = [_group_rows(groups[key], model.config.vocab_buckets) for key in keys]
     trained = model.copy()
     # on the float32 grid from the start, as sgd_rows leaves untouched rows alone
     trained.embeddings = snap_f32(model.embeddings)
@@ -431,7 +422,7 @@ def train_reranker(model: CrossEncoder, samples: list[DependencySample],
             group = groups[keys[gi]]
             loss, grads = reranker_loss_and_grads(
                 trained, group, cfg.max_pairs_per_sample,
-                np.random.default_rng(cfg.seed + 7919 * int(gi)), features)
+                np.random.default_rng(cfg.seed + 7919 * int(gi)))
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite reranker loss at epoch {epoch} on {keys[gi]}: {loss}")

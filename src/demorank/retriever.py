@@ -39,22 +39,22 @@ def fnv1a64(token: str) -> int:
 
 
 @lru_cache(maxsize=1 << 17)
-def _hashed_counts(text: str, buckets: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def text_features(text: str, buckets: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bucket ids and mean-pooling weights (counts / total) for a text.
+
+    Memoized for the process, so every caller shares the same arrays; they
+    are read-only.
+    """
     counts: dict[int, int] = {}
     for tok in tokenize(text):
         b = fnv1a64(tok) % buckets
         counts[b] = counts.get(b, 0) + 1
     ids = sorted(counts)
-    return tuple(ids), tuple(counts[i] for i in ids)
-
-
-def text_features(text: str, buckets: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bucket ids and mean-pooling weights (counts / total) for a text."""
-    ids, counts = _hashed_counts(text, buckets)
-    if not ids:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64)
-    counts_arr = np.asarray(counts, dtype=np.float64)
-    return np.asarray(ids, dtype=np.intp), counts_arr / counts_arr.sum()
+    weights = np.array([counts[i] for i in ids], dtype=np.float64)
+    feats = np.array(ids, dtype=np.intp), weights / weights.sum()
+    for arr in feats:
+        arr.flags.writeable = False
+    return feats
 
 
 def input_text(query_text: str, passage_text: str) -> str:
@@ -136,20 +136,6 @@ def sgd_rows(table: np.ndarray, grad: np.ndarray, rows: np.ndarray,
     table[rows] = snap_f32(table[rows] - learning_rate * grad[rows])
 
 
-class FeatureCache:
-    """Each distinct text's (ids, weights), computed once for the cache's life."""
-
-    def __init__(self, buckets: int) -> None:
-        self.buckets = buckets
-        self._feats: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-    def __call__(self, text: str) -> tuple[np.ndarray, np.ndarray]:
-        got = self._feats.get(text)
-        if got is None:
-            got = self._feats[text] = text_features(text, self.buckets)
-        return got
-
-
 class EncodingCache:
     """Each distinct text's encoding under one table, computed once.
 
@@ -157,15 +143,14 @@ class EncodingCache:
     frozen model.
     """
 
-    def __init__(self, table: np.ndarray, features: FeatureCache) -> None:
+    def __init__(self, table: np.ndarray) -> None:
         self.table = table
-        self.features = features
         self._enc: dict[str, np.ndarray] = {}
 
     def __call__(self, text: str) -> np.ndarray:
         got = self._enc.get(text)
         if got is None:
-            got = self._enc[text] = encode_feats(self.table, self.features(text))
+            got = self._enc[text] = encode_feats(self.table, text_features(text, len(self.table)))
         return got
 
 
@@ -307,10 +292,10 @@ class RetrieverTrainConfig:
             raise ValueError("bad retriever training config")
 
 
-def _set_features(features: FeatureCache, cand_set: ScoredCandidateSet):
+def _set_features(cand_set: ScoredCandidateSet, buckets: int):
     inp = cand_set.input
-    input_feats = features(input_text(inp.query.text, inp.passage.text))
-    demo_feats = [features(demo_text(c.demo)) for c in cand_set.candidates]
+    input_feats = text_features(input_text(inp.query.text, inp.passage.text), buckets)
+    demo_feats = [text_features(demo_text(c.demo), buckets) for c in cand_set.candidates]
     return input_feats, demo_feats
 
 
@@ -326,10 +311,9 @@ def train_retriever(model: BiEncoder, sets: list[ScoredCandidateSet],
     # on the float32 grid from the start, as sgd_rows leaves untouched rows alone
     trained = BiEncoder(model.config, snap_f32(model.embeddings))
     rng = np.random.default_rng(cfg.seed)
-    features = FeatureCache(model.config.vocab_buckets)
     prepared = []
     for s in sets:
-        input_feats, demo_feats = _set_features(features, s)
+        input_feats, demo_feats = _set_features(s, model.config.vocab_buckets)
         rows = feats_rows([input_feats, *demo_feats])
         prepared.append((s, input_feats, demo_feats, s.positive_index(), s.ranks(), rows))
     for epoch in range(cfg.epochs):
@@ -352,9 +336,8 @@ def train_retriever(model: BiEncoder, sets: list[ScoredCandidateSet],
 def retriever_corpus_loss(model: BiEncoder, sets: list[ScoredCandidateSet],
                           lam: float) -> float:
     total = 0.0
-    features = FeatureCache(model.config.vocab_buckets)
     for s in sets:
-        input_feats, demo_feats = _set_features(features, s)
+        input_feats, demo_feats = _set_features(s, model.config.vocab_buckets)
         loss, _ = set_loss_and_grad(model.embeddings, input_feats, demo_feats,
                                     s.positive_index(), s.ranks(), lam)
         total += loss

@@ -175,7 +175,8 @@ class MockScorer:
         self.relevance_threshold = relevance_threshold
 
     def identity(self) -> str:
-        return f"mock {self.weights!r} {self.relevance_threshold!r}"
+        oracle = " oracle" if self.relevance_fn is not None else ""
+        return f"mock {self.weights!r} {self.relevance_threshold!r}{oracle}"
 
     def distribution(self, request: ScoreRequest) -> LabelDistribution:
         w = self.weights
@@ -327,17 +328,17 @@ class CacheStats:
 
 
 class ScoreCache:
-    """Thread-safe map from a key (see `CachedScorer`) to (p_yes, p_no)."""
+    """Thread-safe map from a key (see `CachedScorer`) to a `LabelDistribution`."""
 
     def __init__(self) -> None:
-        self._store: dict[str, tuple[float, float]] = {}
+        self._store: dict[str, LabelDistribution] = {}
         self._lock = threading.Lock()
         self.stats = CacheStats()
 
     def __len__(self) -> int:
         return len(self._store)
 
-    def lookup(self, digest: str) -> tuple[float, float] | None:
+    def lookup(self, digest: str) -> LabelDistribution | None:
         with self._lock:
             got = self._store.get(digest)
             if got is None:
@@ -348,11 +349,11 @@ class ScoreCache:
 
     def store(self, digest: str, dist: LabelDistribution) -> None:
         with self._lock:
-            self._store[digest] = (dist.p_yes, dist.p_no)
+            self._store[digest] = dist
 
     def save(self, path) -> None:
         with self._lock:
-            snapshot = dict(self._store)
+            snapshot = {k: [d.p_yes, d.p_no] for k, d in self._store.items()}
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(snapshot, fh)
 
@@ -362,9 +363,8 @@ class ScoreCache:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
         try:
-            entries = {k: (float(yes), float(no)) for k, (yes, no) in obj.items()}
-            for yes, no in entries.values():
-                LabelDistribution(yes, no)
+            entries = {k: LabelDistribution(float(yes), float(no))
+                       for k, (yes, no) in obj.items()}
         except (AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"not a JSON object of [p_yes, p_no] pairs: {exc}") from exc
         with self._lock:
@@ -387,11 +387,10 @@ class CachedScorer:
 
     def distribution(self, request: ScoreRequest) -> LabelDistribution:
         key = self._scope + request.digest()
-        got = self.cache.lookup(key)
-        if got is not None:
-            return LabelDistribution(got[0], got[1])
-        dist = self.backend.distribution(request)
-        self.cache.store(key, dist)
+        dist = self.cache.lookup(key)
+        if dist is None:
+            dist = self.backend.distribution(request)
+            self.cache.store(key, dist)
         return dist
 
 

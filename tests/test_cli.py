@@ -380,6 +380,19 @@ class TestStageChecks:
         assert ("artifact candidates.jsonl was made from an older pool.jsonl; "
                 "rerun 'mine-candidates'") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "[]", "[1]", '{"config_digest": 7, "outputs": []}',
+        '{"config_digest": "x", "inputs": {"data": 1}, "outputs": {}}'])
+    def test_manifest_that_is_not_an_object_of_digests_counts_as_missing(
+            self, built, tmp_path, capsys, text):
+        config_path, workdir = copy_built(built, tmp_path)
+        (workdir / "manifests" / "build-pool.manifest.json").write_text(text)
+        assert run_cli(config_path, workdir, "mine-candidates") == 3
+        assert "has no manifest; rerun 'build-pool'" in capsys.readouterr().err
+        assert run_cli(config_path, workdir, "build-pool") == 0
+        assert "build-pool: up to date" not in capsys.readouterr().out
+        assert run_cli(config_path, workdir, "mine-candidates", global_args=("--force",)) == 0
+
     @pytest.mark.parametrize("force", [False, True])
     def test_each_file_is_hashed_once_per_command(self, built, tmp_path, monkeypatch, force):
         config_path, workdir = copy_built(built, tmp_path)

@@ -33,7 +33,7 @@ from demorank.reranker import (
     train_reranker,
     write_samples,
 )
-from demorank.retriever import EncoderConfig, snap_f32
+from demorank.retriever import EncoderConfig, demo_text, input_text, snap_f32, text_features
 from demorank.scoring import MockScorer, PromptTemplate, score_list
 from demorank.synth import SynthParams, generate_synthetic_dataset
 
@@ -456,6 +456,15 @@ class TestTrainReranker:
         np.testing.assert_array_equal(a.w1, b.w1)
         np.testing.assert_array_equal(a.w2, b.w2)
         np.testing.assert_array_equal(model.embeddings, before)
+
+    def test_featurizes_each_distinct_text_once(self, toy_chain):
+        samples = toy_chain["samples"]
+        texts = {input_text(s.input.query.text, s.input.passage.text) for s in samples}
+        texts |= {demo_text(d) for s in samples for c in s.continuations for d in c.demos}
+        model = CrossEncoder.init(toy_chain["config"], 8, 37)
+        text_features.cache_clear()
+        train_reranker(model, samples, RerankerTrainConfig(seed=41, epochs=2))
+        assert text_features.cache_info().misses == len(texts)
 
     def test_epoch_losses_non_increasing(self, toy_chain):
         # with a shared seed the permutation stream makes each longer run an

@@ -12,7 +12,6 @@ from demorank.retriever import (
     DenseIndex,
     EncoderConfig,
     EncodingCache,
-    FeatureCache,
     RetrieverTrainConfig,
     ScoredCandidate,
     ScoredCandidateSet,
@@ -109,6 +108,15 @@ class TestTextFeatures:
         ids, weights = text_features("", 64)
         assert len(ids) == 0 and len(weights) == 0
 
+    @pytest.mark.parametrize("text", ["reef coral reef", ""])
+    def test_repeat_call_shares_read_only_arrays(self, text):
+        ids, weights = text_features(text, 64)
+        again = text_features(text, 64)
+        assert again[0] is ids and again[1] is weights
+        assert not ids.flags.writeable and not weights.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            weights[:] = 0.0
+
 
 class TestEncode:
     def test_single_token_is_table_row(self):
@@ -159,11 +167,9 @@ class TestSparseKernels:
 
     def test_caches_compute_each_text_once(self):
         table = BiEncoder.init(EncoderConfig(vocab_buckets=64, dim=8), 42).embeddings
-        features = FeatureCache(64)
-        enc = EncodingCache(table, features)
+        enc = EncodingCache(table)
         first = enc("reef coral reef")
         assert enc("reef coral reef") is first
-        assert features("reef coral reef") is features("reef coral reef")
         np.testing.assert_array_equal(
             first, encode_feats(table, text_features("reef coral reef", 64)))
         np.testing.assert_array_equal(enc("!!!"), np.zeros(8))
@@ -469,6 +475,16 @@ class TestTrainRetriever:
         off_grid = BiEncoder(model.config, model.embeddings + 1e-10)
         trained = train_retriever(off_grid, sets, RetrieverTrainConfig(seed=7))
         np.testing.assert_array_equal(trained.embeddings, snap_f32(trained.embeddings))
+
+    def test_featurizes_each_distinct_text_once(self):
+        rng = np.random.default_rng(42)
+        sets = self.make_sets(rng)
+        texts = {input_text(s.input.query.text, s.input.passage.text) for s in sets}
+        texts |= {demo_text(c.demo) for s in sets for c in s.candidates}
+        model = BiEncoder.init(EncoderConfig(vocab_buckets=64, dim=8), 42)
+        text_features.cache_clear()
+        train_retriever(model, sets, RetrieverTrainConfig(seed=7))
+        assert text_features.cache_info().misses == len(texts)
 
     def test_rejects_empty_training_set(self):
         model = BiEncoder.init(EncoderConfig(vocab_buckets=64, dim=8), 42)

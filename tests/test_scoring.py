@@ -244,7 +244,7 @@ class TestScoreCache:
         assert cache.lookup("k") is None
         assert cache.stats.misses == 1
         cache.store("k", LabelDistribution(0.6, 0.4))
-        assert cache.lookup("k") == (0.6, 0.4)
+        assert cache.lookup("k") == LabelDistribution(0.6, 0.4)
         assert cache.stats.hits == 1
         assert len(cache) == 1
 
@@ -253,10 +253,12 @@ class TestScoreCache:
         cache.store("a", LabelDistribution(0.6, 0.4))
         cache.store("b", LabelDistribution(0.1, 0.9))
         cache.save(tmp_path / "cache.json")
+        assert (tmp_path / "cache.json").read_text(encoding="utf-8") == (
+            '{"a": [0.6, 0.4], "b": [0.1, 0.9]}')
         fresh = ScoreCache()
         fresh.load(tmp_path / "cache.json")
-        assert fresh.lookup("a") == (0.6, 0.4)
-        assert fresh.lookup("b") == (0.1, 0.9)
+        assert fresh.lookup("a") == LabelDistribution(0.6, 0.4)
+        assert fresh.lookup("b") == LabelDistribution(0.1, 0.9)
 
 
 class CountingScorer:
@@ -298,9 +300,14 @@ class TestCachedScorer:
         first = CachedScorer(MockScorer(), shared)
         other = CachedScorer(MockScorer(MockScorerWeights(offset=0.5)), shared)
         same = CachedScorer(MockScorer(), shared)
+        # a ground-truth oracle that calls the pair irrelevant, where the
+        # overlap threshold alone calls it relevant
+        irrelevant = MockScorer(relevance_fn=lambda q, p: False)
+        oracle = CachedScorer(irrelevant, shared)
         assert first.distribution(req) != other.distribution(req)
         assert same.distribution(req) == first.distribution(req)
-        assert (shared.stats.misses, shared.stats.hits, len(shared)) == (2, 2, 2)
+        assert oracle.distribution(req) == irrelevant.distribution(req) != first.distribution(req)
+        assert (shared.stats.misses, shared.stats.hits, len(shared)) == (3, 3, 3)
         urls = {HttpScorer(u).identity() for u in ("http://a:1", "http://a:1/", "http://b:1")}
         assert len(urls) == 2
 

@@ -11,7 +11,6 @@ demonstration selection.
 from .data import (
     Dataset,
     Demonstration,
-    DemonstrationPool,
     Label,
     Passage,
     Query,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import log
 
-from .data import Demonstration, DemonstrationPool, TrainingInput
+from .data import Demonstration, TrainingInput
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -71,7 +71,7 @@ def demo_index_text(demo: Demonstration) -> str:
     return f"{demo.query.text} {demo.passage.text}"
 
 
-def build_pool_index(pool: DemonstrationPool) -> InvertedIndex:
+def build_pool_index(pool: list[Demonstration]) -> InvertedIndex:
     return build_index([demo_index_text(d) for d in pool])
 
 
@@ -100,7 +100,7 @@ def bm25_search(index: InvertedIndex, params: Bm25Params, query_text: str,
     return ranked[:top]
 
 
-def mine_candidates(pool: DemonstrationPool, index: InvertedIndex, input: TrainingInput,
+def mine_candidates(pool: list[Demonstration], index: InvertedIndex, input: TrainingInput,
                     b: int, rng_seed: int,
                     params: Bm25Params = Bm25Params()) -> list[Demonstration]:
     """Candidate demonstrations for one training input: b by BM25, b at random.

@@ -209,7 +209,7 @@ class Session:
         return self._split("test")
 
     @cached_property
-    def pool(self) -> data.DemonstrationPool:
+    def pool(self) -> list[data.Demonstration]:
         return data.load_pool(self.ws.path("pool.jsonl"))
 
     @cached_property

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass, field
@@ -185,6 +186,11 @@ class SeedsSection:
     reranker_train: int = 41
     policy: int = 43
 
+    def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            if getattr(self, f.name) < 0:
+                raise ConfigError(f"seeds.{f.name} must be non-negative")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -228,8 +234,15 @@ def _build_section(cls, obj: dict, where: str):
         val = obj[f.name]
         hint = hints[f.name]
         if hint is float and type(val) is int:
-            val = float(val)
-        if hint == tuple[str, ...] and isinstance(val, list):
+            try:
+                val = float(val)
+            except OverflowError:
+                val = math.inf
+        if type(val) is float and not math.isfinite(val):
+            raise ConfigError(f"bad value in {where}: {f.name} must be finite, got {val!r}")
+        if hint == tuple[str, ...]:
+            if not isinstance(val, (list, tuple)):
+                raise ConfigError(f"bad value in {where}: {f.name} must be a list, got {val!r}")
             val = tuple(val)
         allowed = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
         if set(allowed) <= _PLAIN_TYPES and type(val) not in allowed:
@@ -242,17 +255,7 @@ def _build_section(cls, obj: dict, where: str):
         raise ConfigError(f"bad value in {where}: {exc}") from exc
 
 
-_SECTIONS = {
-    "data": DataSection,
-    "template": PromptTemplate,
-    "scorer": ScorerSection,
-    "bm25": Bm25Params,
-    "encoder": EncoderSection,
-    "retriever": RetrieverSection,
-    "reranker": RerankerSection,
-    "selection": SelectionSection,
-    "seeds": SeedsSection,
-}
+_SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(ExperimentConfig)}
 
 
 def config_from_dict(obj: dict) -> ExperimentConfig:

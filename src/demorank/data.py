@@ -18,7 +18,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 
@@ -110,9 +110,6 @@ class Dataset:
             if j.grade < 0:
                 raise CorpusError(f"negative grade for ({j.query_id}, {j.passage_id})")
 
-    def queries_by_id(self) -> dict[str, Query]:
-        return {q.id: q for q in self.queries}
-
     def passages_by_id(self) -> dict[str, Passage]:
         return {p.id: p for p in self.passages}
 
@@ -124,36 +121,34 @@ class Dataset:
 
 
 @dataclass
-class DemonstrationPool:
-    demos: list[Demonstration]
-
-    def __len__(self) -> int:
-        return len(self.demos)
-
-    def __iter__(self):
-        return iter(self.demos)
-
-    def __getitem__(self, i: int) -> Demonstration:
-        return self.demos[i]
-
-    def by_ref(self) -> dict[tuple[str, str, str], Demonstration]:
-        return {d.ref: d for d in self.demos}
-
-
-@dataclass
 class TrainingInputReport:
     total_queries: int
     built_queries: int
     skipped: dict[str, str] = field(default_factory=dict)  # query_id -> reason
 
 
-def _split_judged(judged: dict[str, int]) -> tuple[list[str], list[str]]:
-    rel = sorted(pid for pid, g in judged.items() if g > 0)
-    irr = sorted(pid for pid, g in judged.items() if g == 0)
-    return rel, irr
+def _judged_queries(dataset: Dataset) -> Iterator[tuple[Query, list[str], list[str], bool]]:
+    """The positives/negatives rule the pool and the training inputs share.
+
+    For each query in id order: the query, its sorted relevant passage ids,
+    its negatives and whether those were judged.  The negatives are the sorted
+    judged-irrelevant ids or, when there are none, every other passage id of
+    the split.
+    """
+    judged_by_q = dataset.judgments_by_query()
+    all_pids = sorted(p.id for p in dataset.passages)
+    for q in sorted(dataset.queries, key=lambda q: q.id):
+        judged = judged_by_q.get(q.id, {})
+        rel = sorted(pid for pid, g in judged.items() if g > 0)
+        irr = sorted(pid for pid, g in judged.items() if g == 0)
+        if irr:
+            yield q, rel, irr, True
+        else:
+            rel_set = set(rel)
+            yield q, rel, [pid for pid in all_pids if pid not in rel_set], False
 
 
-def build_pool(dataset: Dataset, rng_seed: int) -> DemonstrationPool:
+def build_pool(dataset: Dataset, rng_seed: int) -> list[Demonstration]:
     """Turn a training split into a balanced demonstration pool.
 
     Per query, every relevant passage yields a Yes demonstration and an equal
@@ -162,39 +157,20 @@ def build_pool(dataset: Dataset, rng_seed: int) -> DemonstrationPool:
     relevant passage contribute nothing.  Whichever side is scarcer caps both.
     """
     rng = random.Random(rng_seed)
-    judged_by_q = dataset.judgments_by_query()
-    queries = dataset.queries_by_id()
     passages = dataset.passages_by_id()
-    all_pids = sorted(passages)
-
     demos: list[Demonstration] = []
-    for qid in sorted(queries):
-        rel, irr = _split_judged(judged_by_q.get(qid, {}))
-        if not rel:
-            continue
-        if irr:
-            neg_source = irr
-        else:
-            rel_set = set(rel)
-            neg_source = [pid for pid in all_pids if pid not in rel_set]
-        n = min(len(rel), len(neg_source))
+    for q, rel, neg, judged in _judged_queries(dataset):
+        n = min(len(rel), len(neg))
         if n == 0:
             continue
-        pos_pids = rel[:n]
-        if irr:
-            neg_pids = irr[:n]
-        else:
-            neg_pids = sorted(rng.sample(neg_source, n))
-        q = queries[qid]
-        for pid in pos_pids:
-            demos.append(Demonstration(q, passages[pid], Label.YES))
-        for pid in neg_pids:
-            demos.append(Demonstration(q, passages[pid], Label.NO))
+        neg_pids = neg[:n] if judged else sorted(rng.sample(neg, n))
+        demos.extend(Demonstration(q, passages[pid], Label.YES) for pid in rel[:n])
+        demos.extend(Demonstration(q, passages[pid], Label.NO) for pid in neg_pids)
 
     if not demos:
         raise EmptyPoolError("no query in the dataset has a usable relevant passage")
     demos.sort(key=lambda d: (d.query.id, d.passage.id, d.label.value))
-    return DemonstrationPool(demos)
+    return demos
 
 
 def build_training_inputs(
@@ -208,30 +184,19 @@ def build_training_inputs(
     if dataset.split != "train":
         raise CorpusError(f"training inputs require the train split, got {dataset.split!r}")
     rng = random.Random(rng_seed)
-    judged_by_q = dataset.judgments_by_query()
-    queries = dataset.queries_by_id()
     passages = dataset.passages_by_id()
-    all_pids = sorted(passages)
-
     inputs: list[TrainingInput] = []
-    report = TrainingInputReport(total_queries=len(queries), built_queries=0)
-    for qid in sorted(queries):
-        rel, irr = _split_judged(judged_by_q.get(qid, {}))
+    report = TrainingInputReport(total_queries=len(dataset.queries), built_queries=0)
+    for q, rel, neg, _ in _judged_queries(dataset):
         if not rel:
-            report.skipped[qid] = "no relevant passage"
-            continue
-        if not irr:
-            rel_set = set(rel)
-            irr = [pid for pid in all_pids if pid not in rel_set]
-            if not irr:
-                report.skipped[qid] = "no irrelevant passage"
-                continue
-        q = queries[qid]
-        pos = rng.choice(rel)
-        neg = rng.choice(irr)
-        inputs.append(TrainingInput(q, passages[pos], Label.YES))
-        inputs.append(TrainingInput(q, passages[neg], Label.NO))
-        report.built_queries += 1
+            report.skipped[q.id] = "no relevant passage"
+        elif not neg:
+            report.skipped[q.id] = "no irrelevant passage"
+        else:
+            yes, no = rng.choice(rel), rng.choice(neg)
+            inputs.append(TrainingInput(q, passages[yes], Label.YES))
+            inputs.append(TrainingInput(q, passages[no], Label.NO))
+            report.built_queries += 1
     return inputs, report
 
 
@@ -271,9 +236,9 @@ class RefResolver:
     by its ref [query_id, passage_id, label].
     """
 
-    def __init__(self, inputs: list[TrainingInput], pool: DemonstrationPool):
+    def __init__(self, inputs: list[TrainingInput], pool: list[Demonstration]):
         self.inputs = {t.input_id: t for t in inputs}
-        self.demos = pool.by_ref()
+        self.demos = {d.ref: d for d in pool}
 
     def input(self, input_id: str) -> TrainingInput:
         inp = self.inputs.get(input_id)
@@ -349,12 +314,12 @@ def _read_pairs(path: str | Path, cls: type, key: str, what: str) -> list:
                                             Label(obj[key])), what)
 
 
-def write_pool(path: str | Path, pool: DemonstrationPool) -> None:
+def write_pool(path: str | Path, pool: list[Demonstration]) -> None:
     write_jsonl(path, (_pair_record(d, "label") for d in pool))
 
 
-def load_pool(path: str | Path) -> DemonstrationPool:
-    return DemonstrationPool(_read_pairs(path, Demonstration, "label", "pool record"))
+def load_pool(path: str | Path) -> list[Demonstration]:
+    return _read_pairs(path, Demonstration, "label", "pool record")
 
 
 def write_training_inputs(path: str | Path, inputs: list[TrainingInput]) -> None:

@@ -18,8 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .bm25 import Bm25Params, bm25_search, build_index, build_pool_index
-from .data import (CorpusError, Dataset, Demonstration, DemonstrationPool, Passage, Query,
-                   TrainingInput)
+from .data import CorpusError, Dataset, Demonstration, Passage, Query, TrainingInput
 from .reranker import CrossEncoder, cross_score_batch
 from .retriever import BiEncoder, DenseIndex, EncodingCache, retrieve_topD
 from .scoring import PromptTemplate, ScorerBackend, relevance_score, score_list
@@ -218,7 +217,7 @@ def load_run(path) -> list[RunEntry]:
 
 @dataclass
 class PolicyContext:
-    pool: DemonstrationPool
+    pool: list[Demonstration]
     backend: ScorerBackend
     template: PromptTemplate
     bm25_params: Bm25Params = Bm25Params()

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (Demonstration, DemonstrationPool, RefResolver, TrainingInput, read_jsonl,
-                   write_jsonl)
+from .data import Demonstration, RefResolver, TrainingInput, read_jsonl, write_jsonl
 from .retriever import (
     EncoderConfig,
     EncodingCache,
@@ -452,7 +451,7 @@ def write_samples(path, samples: list[DependencySample]) -> None:
 
 
 def load_samples(path, inputs: list[TrainingInput],
-                 pool: DemonstrationPool) -> list[DependencySample]:
+                 pool: list[Demonstration]) -> list[DependencySample]:
     refs = RefResolver(inputs, pool)
 
     def parse(obj: dict) -> DependencySample:

@@ -20,8 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bm25 import tokenize
-from .data import (Demonstration, DemonstrationPool, RefResolver, TrainingInput, read_jsonl,
-                   write_jsonl)
+from .data import Demonstration, RefResolver, TrainingInput, read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -350,12 +349,12 @@ def retriever_corpus_loss(model: BiEncoder, sets: list[ScoredCandidateSet],
 
 @dataclass
 class DenseIndex:
-    pool: DemonstrationPool
+    pool: list[Demonstration]
     matrix: np.ndarray  # (len(pool), dim)
     warned_oversized: bool = field(default=False, init=False)  # retrieve_topD warns once
 
     @classmethod
-    def build(cls, model: BiEncoder, pool: DemonstrationPool) -> "DenseIndex":
+    def build(cls, model: BiEncoder, pool: list[Demonstration]) -> "DenseIndex":
         if len(pool) == 0:
             raise ValueError("cannot index an empty pool")
         matrix = np.stack([encode(model, demo_text(d)) for d in pool])
@@ -389,7 +388,7 @@ def write_scored_sets(path, sets: list[ScoredCandidateSet]) -> None:
 
 
 def load_scored_sets(path, inputs: list[TrainingInput],
-                     pool: DemonstrationPool) -> list[ScoredCandidateSet]:
+                     pool: list[Demonstration]) -> list[ScoredCandidateSet]:
     refs = RefResolver(inputs, pool)
     return read_jsonl(path, lambda obj: ScoredCandidateSet(refs.input(obj["input_id"]), [
         ScoredCandidate(refs.demo(c["demo_ref"]), float(c["llm_score"]))

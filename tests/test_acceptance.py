@@ -38,7 +38,6 @@ from demorank.checkpoint import (
 from demorank.cli import main as cli_main
 from demorank.data import (
     Demonstration,
-    DemonstrationPool,
     Label,
     Passage,
     Query,
@@ -386,7 +385,7 @@ class TestAcceptanceCriteria:
             demos = [make_demo(f"t{trial}_{j}", random_text(rng), random_text(rng),
                                Label.YES if rng.random() < 0.5 else Label.NO)
                      for j in range(n)]
-            pool = DemonstrationPool(sorted(demos, key=lambda d: d.ref))
+            pool = sorted(demos, key=lambda d: d.ref)
             inp = make_input(random_text(rng), random_text(rng))
             index = DenseIndex.build(model, pool)
             d_req = int(rng.integers(1, n + 1))

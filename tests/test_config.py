@@ -195,11 +195,30 @@ class TestValidation:
         ("reranker.epochs", 2.5),
         ("template.separator", 5),
         ("selection.per_query", "yes"),
+        ("selection.policies", "random"),
+        ("retriever.lam", float("nan")),
+        ("reranker.learning_rate", float("inf")),
+        ("bm25.k1", float("nan")),
+        ("scorer.timeout_sec", float("inf")),
+        ("scorer.timeout_sec", 10 ** 400),
+        ("seeds.retriever_init", -1),
+        ("seeds.data", -5),
     ])
     def test_bad_value_fails_at_load_naming_its_section(self, key, value):
         section, name = key.split(".")
         with pytest.raises(ConfigError, match=f"bad value in {section}: "):
             config_from_dict({section: {name: value}})
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_json_literal_rejected(self, tmp_path, literal):
+        path = tmp_path / "config.json"
+        path.write_text('{"retriever": {"lam": %s}}' % literal)
+        with pytest.raises(ConfigError, match="bad value in retriever: lam must be finite"):
+            load_config(path)
+
+    def test_policies_must_be_a_list(self):
+        with pytest.raises(ConfigError, match="policies must be a list"):
+            config_from_dict({"selection": {"policies": "random"}})
 
     def test_unknown_policy_message(self):
         with pytest.raises(ConfigError, match="unknown policy 'zeroshot'; expected one of"):

@@ -8,7 +8,6 @@ from demorank.data import (
     CorpusError,
     Dataset,
     Demonstration,
-    DemonstrationPool,
     EmptyPoolError,
     Label,
     Passage,
@@ -50,7 +49,7 @@ def make_dataset(n_queries=3, n_passages=None, rel_per_query=2, irr_per_query=3,
 def yes_no_by_query(pool) -> dict[str, tuple[int, int]]:
     """(Yes count, No count) per query of the pool's demonstrations."""
     labels: dict[str, list[Label]] = {}
-    for d in pool.demos:
+    for d in pool:
         labels.setdefault(d.query.id, []).append(d.label)
     return {q: (ls.count(Label.YES), ls.count(Label.NO)) for q, ls in labels.items()}
 
@@ -103,7 +102,7 @@ class TestBuildPool:
         js = [RelJudgment("q0", f"p{i}", 1) for i in range(5)]
         js.append(RelJudgment("q0", "p5", 0))
         pool = build_pool(Dataset(qs, ps, js, split="train"), rng_seed=0)
-        labels = [d.label for d in pool.demos]
+        labels = [d.label for d in pool]
         assert labels.count(Label.YES) == 1
         assert labels.count(Label.NO) == 1
 
@@ -113,7 +112,7 @@ class TestBuildPool:
         js = [RelJudgment("q0", "p0", 1), RelJudgment("q0", "p1", 0),
               RelJudgment("q1", "p2", 0), RelJudgment("q1", "p3", 0)]
         pool = build_pool(Dataset(qs, ps, js, split="train"), rng_seed=0)
-        assert all(d.query.id == "q0" for d in pool.demos)
+        assert all(d.query.id == "q0" for d in pool)
         assert "q1" not in yes_no_by_query(pool)
 
     def test_unjudged_fallback_for_negatives(self):
@@ -123,8 +122,8 @@ class TestBuildPool:
         ps = [Passage(f"p{i}", f"t{i}") for i in range(10)]
         js = [RelJudgment("q0", "p0", 1), RelJudgment("q0", "p1", 2)]
         pool = build_pool(Dataset(qs, ps, js, split="train"), rng_seed=5)
-        yes = {d.passage.id for d in pool.demos if d.label is Label.YES}
-        no = {d.passage.id for d in pool.demos if d.label is Label.NO}
+        yes = {d.passage.id for d in pool if d.label is Label.YES}
+        no = {d.passage.id for d in pool if d.label is Label.NO}
         assert yes == {"p0", "p1"}
         assert len(no) == 2
         assert not (no & yes)
@@ -133,7 +132,7 @@ class TestBuildPool:
         ds = make_dataset()
         a = build_pool(ds, rng_seed=42)
         b = build_pool(ds, rng_seed=42)
-        assert [d.ref for d in a.demos] == [d.ref for d in b.demos]
+        assert [d.ref for d in a] == [d.ref for d in b]
 
     def test_empty_pool_raises(self):
         qs = [Query("q0", "alpha")]
@@ -145,11 +144,9 @@ class TestBuildPool:
     def test_pool_sorted_and_indexable(self):
         ds = make_dataset()
         pool = build_pool(ds, rng_seed=42)
-        refs = [d.ref for d in pool.demos]
+        refs = [d.ref for d in pool]
         assert refs == sorted(refs)
-        assert pool[0] == pool.demos[0]
-        assert len(pool) == len(pool.demos)
-        assert pool.by_ref()[pool[0].ref] == pool[0]
+        assert type(pool) is list
 
 
 class TestBuildTrainingInputs:
@@ -203,6 +200,43 @@ class TestBuildTrainingInputs:
         assert inp.input_id == "q7::p9::No"
 
 
+class TestBuilderPins:
+    """Both builders on one query of each kind, pinned to recorded outputs.
+
+    qa has judged negatives, qb and qe fall back to unjudged passages, qc has
+    no relevant passage and qd is relevant to every passage, so it has no
+    possible negative.  The pins hold the seeded draw order of both builders.
+    """
+
+    @staticmethod
+    def dataset():
+        qs = [Query(q, f"text {q}") for q in ("qa", "qb", "qc", "qd", "qe")]
+        ps = [Passage(f"p{i}", f"body {i}") for i in range(8)]
+        js = ([RelJudgment("qa", "p0", 1), RelJudgment("qa", "p1", 1)]
+              + [RelJudgment("qa", p, 0) for p in ("p2", "p3", "p4")]
+              + [RelJudgment("qb", "p5", 2), RelJudgment("qb", "p6", 1)]
+              + [RelJudgment("qc", "p1", 0)]
+              + [RelJudgment("qd", f"p{i}", 1) for i in range(8)]
+              + [RelJudgment("qe", "p3", 1)])
+        return Dataset(qs, ps, js, split="train")
+
+    def test_pool(self):
+        pool = build_pool(self.dataset(), rng_seed=7)
+        assert [d.ref for d in pool] == [
+            ("qa", "p0", "Yes"), ("qa", "p1", "Yes"), ("qa", "p2", "No"), ("qa", "p3", "No"),
+            ("qb", "p1", "No"), ("qb", "p2", "No"), ("qb", "p5", "Yes"), ("qb", "p6", "Yes"),
+            ("qe", "p3", "Yes"), ("qe", "p4", "No")]
+
+    def test_training_inputs(self):
+        inputs, report = build_training_inputs(self.dataset(), rng_seed=7)
+        assert [i.input_id for i in inputs] == [
+            "qa::p1::Yes", "qa::p2::No", "qb::p6::Yes", "qb::p7::No",
+            "qe::p3::Yes", "qe::p0::No"]
+        assert (report.total_queries, report.built_queries) == (5, 3)
+        assert report.skipped == {"qc": "no relevant passage",
+                                  "qd": "no irrelevant passage"}
+
+
 class TestFileRoundTrips:
     def test_queries_and_passages_jsonl(self, tmp_path):
         qs = [Query(f"q{i}", f"text {i}") for i in range(5)]
@@ -228,8 +262,8 @@ class TestFileRoundTrips:
         pool = build_pool(ds, rng_seed=42)
         write_pool(tmp_path / "pool.jsonl", pool)
         loaded = load_pool(tmp_path / "pool.jsonl")
-        assert [d.ref for d in loaded.demos] == [d.ref for d in pool.demos]
-        assert all(isinstance(d.label, Label) for d in loaded.demos)
+        assert [d.ref for d in loaded] == [d.ref for d in pool]
+        assert all(isinstance(d.label, Label) for d in loaded)
 
     def test_training_inputs_round_trip(self, tmp_path):
         ds = make_dataset()
@@ -266,8 +300,8 @@ class TestPoolProperties:
             except EmptyPoolError:
                 continue
             assert all(yes == no for yes, no in yes_no_by_query(pool).values())
-            labels = [d.label for d in pool.demos]
+            labels = [d.label for d in pool]
             assert labels.count(Label.YES) == labels.count(Label.NO)
             # No duplicated (query, passage, label) triples.
-            refs = [d.ref for d in pool.demos]
+            refs = [d.ref for d in pool]
             assert len(refs) == len(set(refs))

@@ -1,0 +1,32 @@
+"""The runtime depends on numpy and requests only, besides the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+import demorank
+
+ALLOWED = {"numpy", "requests", "demorank"}
+
+
+def absolute_imports(path: Path) -> set[str]:
+    """Top-level names of every absolute import in a module, nested ones included."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_runtime_imports_are_stdlib_numpy_or_requests():
+    modules = sorted(Path(demorank.__file__).parent.glob("*.py"))
+    assert modules
+    undeclared = {
+        f"{path.name}: {name}"
+        for path in modules
+        for name in absolute_imports(path)
+        if name not in sys.stdlib_module_names and name not in ALLOWED
+    }
+    assert not undeclared, sorted(undeclared)

@@ -186,9 +186,7 @@ class TestGreedySelectFrom:
         reranker = CrossEncoder.init(EncoderConfig(vocab_buckets=32, dim=4), 2, 42)
         demos = [make_demo(str(i), random_text(rng), random_text(rng))
                  for i in range(4)]
-        from demorank.data import DemonstrationPool
-
-        pool = DemonstrationPool(sorted(demos, key=lambda d: d.ref))
+        pool = sorted(demos, key=lambda d: d.ref)
         index = DenseIndex.build(model, pool)
         with pytest.raises(ValueError, match="must not exceed"):
             greedy_select(make_input("a", "b"), model, index, reranker, D=2, k=3)

@@ -519,15 +519,13 @@ class TestDeskScaleTraining:
 
 
 def make_pool(rng, n_demos: int):
-    from demorank.data import DemonstrationPool
-
     demos = []
     for i in range(n_demos):
         label = Label.YES if i % 2 == 0 else Label.NO
         demos.append(make_demo(f"q{i // 2}", random_text(rng), f"p{i}",
                                random_text(rng), label))
     demos.sort(key=lambda d: d.ref)
-    return DemonstrationPool(demos)
+    return demos
 
 
 class TestRetrieveTopD:
@@ -572,11 +570,9 @@ class TestRetrieveTopD:
             retrieve_topD(index, model, make_input("a", "b"), 0)
 
     def test_empty_pool_rejected(self):
-        from demorank.data import DemonstrationPool
-
         model = BiEncoder.init(EncoderConfig(vocab_buckets=32, dim=4), 42)
         with pytest.raises(ValueError, match="empty pool"):
-            DenseIndex.build(model, DemonstrationPool([]))
+            DenseIndex.build(model, [])
 
     def test_positive_rescaling_preserves_order(self):
         rng = np.random.default_rng(42)

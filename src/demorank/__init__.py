@@ -8,60 +8,4 @@ reranker on those samples, then rank test passages with retrieve-then-greedy
 demonstration selection.
 """
 
-from .data import (
-    Dataset,
-    Demonstration,
-    Label,
-    Passage,
-    Query,
-    RelJudgment,
-    TrainingInput,
-    build_pool,
-    build_training_inputs,
-)
-from .scoring import (
-    CachedScorer,
-    HttpScorer,
-    LabelDistribution,
-    MockScorer,
-    PromptTemplate,
-    ScoreRequest,
-    relevance_score,
-    score_list,
-)
-from .bm25 import Bm25Params, build_index, build_pool_index, bm25_search, mine_candidates
-from .retriever import (
-    BiEncoder,
-    DenseIndex,
-    EncoderConfig,
-    RetrieverTrainConfig,
-    ScoredCandidate,
-    ScoredCandidateSet,
-    retrieve_topD,
-    similarity,
-    train_retriever,
-)
-from .reranker import (
-    CrossEncoder,
-    DependencySample,
-    DemoList,
-    RerankerTrainConfig,
-    construct_samples,
-    cross_score,
-    list_pairwise_loss,
-    sample_by_rank,
-    train_reranker,
-)
-from .pipeline import (
-    EvalReport,
-    PolicyContext,
-    RunEntry,
-    greedy_select,
-    ndcg_at_k,
-    rank_passages,
-    run_policy,
-)
-from .config import ExperimentConfig, load_config
-from .synth import SynthParams, generate_synthetic_dataset
-
 __version__ = "0.1.0"

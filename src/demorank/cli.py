@@ -15,8 +15,10 @@ stage, which writes the synthetic dataset under `data/` with its own manifest
 policy (`rank-<policy>`, `evaluate-<policy>`), so a run file or report that
 changed since it was written is caught like any other stale artifact.
 
-Exit codes: 0 success, 2 configuration error, 3 missing, stale or unreadable
-artifact (a corrupt --score-cache included), 4 scorer backend failure.
+Exit codes: 0 success, 2 configuration error (an unusable --workdir or
+--score-cache, or a scorer endpoint that is not an http(s) URL, included),
+3 missing, stale or unreadable artifact (a corrupt --score-cache included),
+4 scorer backend failure.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from functools import cached_property, partial
 from hashlib import sha256
 from pathlib import Path
 from typing import Callable
+from urllib.parse import urlsplit
 
 from . import bm25, checkpoint, data, pipeline, reranker, retriever, scoring, synth
 from .config import ConfigError, ExperimentConfig, check_policies, load_config
@@ -242,6 +245,13 @@ class Session:
                 raise ConfigError(
                     "scorer.backend is http but no endpoint is configured "
                     f"(set scorer.endpoint or ${scoring.ENV_SCORER_URL})")
+            try:
+                parts = urlsplit(url)
+            except ValueError:
+                parts = None
+            if not parts or parts.scheme not in ("http", "https") or not parts.hostname:
+                raise ConfigError(f"scorer endpoint {url!r} is not an http:// or "
+                                  "https:// URL with a host")
             inner = scoring.HttpScorer(url, timeout=sc.timeout_sec,
                                        max_retries=sc.max_retries,
                                        max_in_flight=sc.max_in_flight)
@@ -259,7 +269,6 @@ class Session:
         """Write the score cache, if a stage of this command built the scorer."""
         backend = self.__dict__.get("backend")  # set once the property ran
         if backend is not None and self.score_cache:
-            self.score_cache.parent.mkdir(parents=True, exist_ok=True)
             atomic_produce(self.score_cache, backend.cache.save)
 
 
@@ -269,8 +278,7 @@ class Session:
 
 
 def _build_data(s: Session, out: dict[str, Path]) -> str:
-    generated = synth.generate_synthetic_dataset(s.ws.config.data.synth_params(),
-                                                 s.ws.config.seeds.data)
+    generated = synth.generate_synthetic_dataset(s.ws.config.data, s.ws.config.seeds.data)
     for split, ds in (("train", generated.train), ("test", generated.test)):
         data.write_jsonl_texts(out[f"{split}_queries"], ds.queries)
         data.write_jsonl_texts(out[f"{split}_passages"], ds.passages)
@@ -515,6 +523,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _make_dir(path: Path, option: str) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{option}: cannot make directory: {exc}") from exc
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
@@ -526,7 +541,13 @@ def main(argv=None) -> int:
             return 0
         policies = check_policies(getattr(args, "policy", None) or config.selection.policies)
         config_dir = args.config.parent.resolve() if args.config else Path.cwd()
-        args.workdir.mkdir(parents=True, exist_ok=True)
+        # Both locations are made or refused before a stage runs, so a bad
+        # one cannot surface after the scorer's results are paid for.
+        if args.score_cache:
+            if args.score_cache.is_dir():
+                raise ConfigError(f"--score-cache {args.score_cache} is a directory")
+            _make_dir(args.score_cache.parent, f"--score-cache {args.score_cache}")
+        _make_dir(args.workdir, f"--workdir {args.workdir}")
         return run_command(Workspace(args.workdir, config, config_dir), args, policies)
     except (ConfigError, bm25.PoolTooSmallError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

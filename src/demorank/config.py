@@ -42,14 +42,8 @@ def check_policies(policies) -> list[str]:
 
 
 @dataclass(frozen=True)
-class DataSection:
+class DataSection(SynthParams):
     source: str = "synthetic"  # "synthetic" or "files"
-    topics: int = 20
-    vocab: int = 500
-    train_queries: int = 200
-    test_queries: int = 50
-    passages_per_query: int = 20
-    tokens_per_text: int = 16
     # used when source == "files"; paths are relative to the config file
     train_queries_path: str = ""
     train_passages_path: str = ""
@@ -66,12 +60,7 @@ class DataSection:
                          "test_queries_path", "test_passages_path", "test_qrels_path"):
                 if not getattr(self, name):
                     raise ConfigError(f"data.{name} is required when source is files")
-        self.synth_params()
-
-    def synth_params(self) -> SynthParams:
-        return SynthParams(self.topics, self.vocab, self.train_queries,
-                           self.test_queries, self.passages_per_query,
-                           self.tokens_per_text)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -276,7 +265,7 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
         return ExperimentConfig()
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         obj = json.loads(text)

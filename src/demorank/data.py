@@ -211,6 +211,18 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line of a text file; a line that is not
+    UTF-8 raises CorpusError naming the file and line."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorpusError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
+            yield lineno, line
+
+
 def read_jsonl(path: str | Path, parse: Callable[[dict], T], what: str) -> list[T]:
     """`parse(record)` for each non-blank line of a JSONL file.
 
@@ -218,14 +230,13 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T], what: str) -> list[
     input or demonstration raises CorpusError naming the file and line.
     """
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                out.append(parse(json.loads(line)))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed {what}: {exc}") from exc
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            out.append(parse(json.loads(line)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorpusError(f"{path}:{lineno}: malformed {what}: {exc}") from exc
     return out
 
 
@@ -263,19 +274,18 @@ def load_passages(path: str | Path) -> list[Passage]:
 
 def load_qrels(path: str | Path) -> list[RelJudgment]:
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise CorpusError(f"{path}:{lineno}: expected 4 tab-separated fields")
-            qid, _, pid, grade = parts
-            try:
-                out.append(RelJudgment(qid, pid, int(grade)))
-            except ValueError as exc:
-                raise CorpusError(f"{path}:{lineno}: bad grade {grade!r}") from exc
+    for lineno, line in read_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise CorpusError(f"{path}:{lineno}: expected 4 tab-separated fields")
+        qid, _, pid, grade = parts
+        try:
+            out.append(RelJudgment(qid, pid, int(grade)))
+        except ValueError as exc:
+            raise CorpusError(f"{path}:{lineno}: bad grade {grade!r}") from exc
     return out
 
 

@@ -18,7 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .bm25 import Bm25Params, bm25_search, build_index, build_pool_index
-from .data import CorpusError, Dataset, Demonstration, Passage, Query, TrainingInput
+from .data import (CorpusError, Dataset, Demonstration, Passage, Query, TrainingInput,
+                   read_lines)
 from .reranker import CrossEncoder, cross_score_batch
 from .retriever import BiEncoder, DenseIndex, EncodingCache, retrieve_topD
 from .scoring import PromptTemplate, ScorerBackend, relevance_score, score_list
@@ -196,18 +197,17 @@ def write_run(path, entries: list[RunEntry]) -> None:
 
 def load_run(path) -> list[RunEntry]:
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                if len(parts) != 6 or parts[1] != "Q0":
-                    raise ValueError("want 'query_id Q0 passage_id rank score tag'")
-                out.append(RunEntry(parts[0], parts[2], int(parts[3]),
-                                    float(parts[4]), parts[5]))
-            except ValueError as exc:
-                raise CorpusError(f"{path}:{lineno}: bad run line: {exc}") from exc
+    for lineno, line in read_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            if len(parts) != 6 or parts[1] != "Q0":
+                raise ValueError("want 'query_id Q0 passage_id rank score tag'")
+            out.append(RunEntry(parts[0], parts[2], int(parts[3]),
+                                float(parts[4]), parts[5]))
+        except ValueError as exc:
+            raise CorpusError(f"{path}:{lineno}: bad run line: {exc}") from exc
     return out
 
 

@@ -21,7 +21,6 @@ from functools import lru_cache
 from hashlib import sha256
 from math import exp, isfinite
 from typing import TYPE_CHECKING, Callable, Protocol
-from urllib.parse import urljoin
 
 from .bm25 import tokenize
 from .data import Demonstration, Label, LABEL_SPACE, TrainingInput
@@ -252,7 +251,7 @@ class HttpScorer:
         self._gate = threading.Semaphore(max_in_flight)
 
     def _url(self) -> str:
-        return urljoin(self.base_url, SCORE_PATH)
+        return self.base_url.rstrip("/") + SCORE_PATH
 
     def identity(self) -> str:
         return f"http {self._url()}"

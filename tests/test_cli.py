@@ -263,6 +263,28 @@ class TestExitCodes:
         assert run_cli(config_path, workdir, "score-candidates") == 2
         assert "no endpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["config", "env"])
+    def test_endpoint_without_scheme_fails_before_any_request(self, tmp_path, capsys,
+                                                              monkeypatch, where):
+        import requests
+
+        posts = []
+        monkeypatch.setattr(requests.Session, "post", lambda *a, **kw: posts.append(a))
+        if where == "env":
+            monkeypatch.setenv("DEMORANK_SCORER_URL", "localhost:9")
+        else:
+            monkeypatch.delenv("DEMORANK_SCORER_URL", raising=False)
+        config_path = write_config(tmp_path, {"scorer": {
+            "backend": "http",
+            "endpoint": "http://127.0.0.1:9" if where == "env" else "localhost:9"}})
+        workdir = tmp_path / "work"
+        build_chain(config_path, workdir, upto="mine-candidates")
+        assert run_cli(config_path, workdir, "score-candidates") == 2
+        assert ("config error: scorer endpoint 'localhost:9' is not an http:// or "
+                "https:// URL with a host") in capsys.readouterr().err
+        assert posts == []
+        assert not (workdir / "scored.jsonl").exists()
+
     def test_missing_artifact(self, tmp_path, capsys):
         config_path = write_config(tmp_path)
         assert run_cli(config_path, tmp_path / "work", "mine-candidates") == 3
@@ -473,6 +495,31 @@ class TestWorkdir:
         nested = tmp_path / "a" / "b" / "work"
         assert run_cli(config_path, nested, "build-pool") == 0
         assert (nested / "pool.jsonl").exists()
+
+    def test_workdir_that_is_a_file_is_a_config_error(self, tmp_path, capsys):
+        config_path = write_config(tmp_path)
+        workdir = tmp_path / "work"
+        workdir.write_text("")
+        assert run_cli(config_path, workdir, "build-pool") == 2
+        assert f"config error: --workdir {workdir}: cannot make directory" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["blocker/scores.cache", "blocker"])
+    def test_unusable_score_cache_fails_before_any_stage(self, tmp_path, capsys, name):
+        config_path = write_config(tmp_path)
+        workdir = tmp_path / "work"
+        build_chain(config_path, workdir, upto="mine-candidates")
+        blocker = tmp_path / "blocker"
+        if "/" in name:
+            blocker.write_text("")
+        else:
+            blocker.mkdir()
+        cache_path = tmp_path / name
+        assert run_cli(config_path, workdir, "score-candidates",
+                       global_args=("--score-cache", str(cache_path))) == 2
+        assert f"config error: --score-cache {cache_path}" in capsys.readouterr().err
+        assert not (workdir / "scored.jsonl").exists()
+        assert not (workdir / "manifests" / "score-candidates.manifest.json").exists()
 
 
 class TestImportWeight:

@@ -229,7 +229,9 @@ class TestSectionBuilders:
     def test_synth_params(self):
         section = DataSection(topics=5, vocab=60, train_queries=10, test_queries=4,
                               passages_per_query=6, tokens_per_text=8)
-        assert section.synth_params() == SynthParams(5, 60, 10, 4, 6, 8)
+        assert isinstance(section, SynthParams)
+        assert (section.topics, section.vocab, section.train_queries, section.test_queries,
+                section.passages_per_query, section.tokens_per_text) == (5, 60, 10, 4, 6, 8)
 
     def test_bad_synth_params_wrapped(self):
         with pytest.raises(ConfigError, match="bad value in data: topics must be positive"):
@@ -270,6 +272,12 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
             load_config(tmp_path / "absent.json")
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"data": {"source": "synth\xe9tic"}}')
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(path)
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "config.json"

@@ -1,6 +1,7 @@
 """Tests for corpus types, demonstration pools, training inputs, and file IO."""
 
 import random
+import re
 
 import pytest
 
@@ -26,6 +27,7 @@ from demorank.data import (
     write_qrels,
     write_training_inputs,
 )
+from demorank.pipeline import load_run
 
 
 def make_dataset(n_queries=3, n_passages=None, rel_per_query=2, irr_per_query=3,
@@ -276,6 +278,18 @@ class TestFileRoundTrips:
         qs = [Query("q0", "café über 中文")]
         write_jsonl_texts(tmp_path / "queries.jsonl", qs)
         assert load_queries(tmp_path / "queries.jsonl") == qs
+
+
+@pytest.mark.parametrize("reader, good", [
+    (load_queries, b'{"id": "q0", "text": "reef"}\n'),
+    (load_qrels, b"q0\t0\tp0\t1\n"),
+    (load_run, b"q0 Q0 p0 1 0.5 tag\n"),
+])
+def test_non_utf8_line_is_a_corpus_error_naming_it(tmp_path, reader, good):
+    path = tmp_path / "file"
+    path.write_bytes(good + good.replace(b"0", b"\xe9", 1))
+    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:2: not UTF-8"):
+        reader(path)
 
 
 class TestPoolProperties:

@@ -1,6 +1,8 @@
 """The runtime depends on numpy and requests only, besides the standard library."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,3 +32,16 @@ def test_runtime_imports_are_stdlib_numpy_or_requests():
         if name not in sys.stdlib_module_names and name not in ALLOWED
     }
     assert not undeclared, sorted(undeclared)
+
+
+def test_package_import_loads_no_module():
+    """Names are imported from their modules; `import demorank` alone loads
+    no submodule and no numpy."""
+    script = ("import sys, demorank; print(sorted(m for m in sys.modules "
+              "if m.startswith('demorank.') or m.split('.')[0] == 'numpy'))")
+    src = Path(demorank.__file__).resolve().parent.parent
+    result = subprocess.run([sys.executable, "-c", script],
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

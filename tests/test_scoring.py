@@ -494,6 +494,16 @@ class TestHttpScorer:
         assert Session.posts == 2
         assert isinstance(excinfo.value.__cause__, MalformedResponseError)
 
+    @pytest.mark.parametrize("suffix, path", [
+        ("", "/v1/score"), ("/", "/v1/score"),
+        ("/api", "/api/v1/score"), ("/api/", "/api/v1/score")])
+    def test_score_path_is_joined_onto_the_endpoint(self, suffix, path):
+        with scripted_server([(200, {"p": {"Yes": 1, "No": 1}})]) as (url, seen):
+            scorer = HttpScorer(url + suffix, max_retries=1)
+            scorer.distribution(request([], "iq", "ip"))
+        assert scorer.identity() == f"http {url}{path}"
+        assert [p for p, _ in seen] == [path]
+
     def test_max_retries_validated(self):
         with pytest.raises(ValueError):
             HttpScorer("http://127.0.0.1:9", max_retries=0)

@@ -64,7 +64,7 @@ def read_artifact(path: Path, load, what: str):
     """`load(path)`; a malformed file raises CorpusError naming it (exit 3)."""
     try:
         return load(path)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise data.CorpusError(f"{path}: malformed {what}: {exc}") from exc
 
 
@@ -234,7 +234,8 @@ class Session:
         if sc.backend == "mock":
             oracle = None
             if self.ws.oracle:
-                q_topics, p_topics = synth.load_topics(self.ws.path("topics"))
+                q_topics, p_topics = read_artifact(self.ws.path("topics"),
+                                                   synth.load_topics, "topics")
                 oracle = synth.relevance_fn_from_files(q_topics, p_topics,
                                                        [self.train, self.test])
             inner = scoring.MockScorer(sc.mock_weights(), oracle,
@@ -336,11 +337,10 @@ def _score_candidates(s: Session, out: dict[str, Path]) -> str:
 def _train_retriever(s: Session, out: dict[str, Path]) -> str:
     cfg = s.ws.config
     sets = retriever.load_scored_sets(s.ws.path("scored.jsonl"), s.training_inputs, s.pool)
-    model = retriever.BiEncoder.init(cfg.encoder.config(), cfg.seeds.retriever_init)
-    train_cfg = cfg.retriever.train_config(cfg.seeds.retriever_train)
-    trained = retriever.train_retriever(model, sets, train_cfg)
+    model = retriever.BiEncoder.init(cfg.encoder, cfg.seeds.retriever_init)
+    trained = retriever.train_retriever(model, sets, cfg.retriever, cfg.seeds.retriever_train)
     checkpoint.save_retriever(out["retriever.ckpt"], trained, s.ws.digest)
-    return f"{len(sets)} sets, {train_cfg.epochs} epochs"
+    return f"{len(sets)} sets, {cfg.retriever.epochs} epochs"
 
 
 def _build_samples(s: Session, out: dict[str, Path]) -> str:
@@ -362,12 +362,10 @@ def _build_samples(s: Session, out: dict[str, Path]) -> str:
 def _train_reranker(s: Session, out: dict[str, Path]) -> str:
     cfg = s.ws.config
     samples = reranker.load_samples(s.ws.path("samples.jsonl"), s.training_inputs, s.pool)
-    model = reranker.CrossEncoder.init(cfg.encoder.config(), cfg.encoder.hidden,
-                                       cfg.seeds.reranker_init)
-    train_cfg = cfg.reranker.train_config(cfg.seeds.reranker_train)
-    trained = reranker.train_reranker(model, samples, train_cfg)
+    model = reranker.CrossEncoder.init(cfg.encoder, cfg.encoder.hidden, cfg.seeds.reranker_init)
+    trained = reranker.train_reranker(model, samples, cfg.reranker, cfg.seeds.reranker_train)
     checkpoint.save_reranker(out["reranker.ckpt"], trained, s.ws.digest)
-    return f"{len(samples)} samples, {train_cfg.epochs} epochs"
+    return f"{len(samples)} samples, {cfg.reranker.epochs} epochs"
 
 
 def _rank(policy: str, s: Session, out: dict[str, Path]) -> str:

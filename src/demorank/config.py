@@ -1,9 +1,9 @@
 """Experiment configuration: one JSON file drives every pipeline stage.
 
 Unknown keys are rejected and every value is checked when the config loads:
-each section is, or builds, the library parameter type it feeds, and a bad
-value is a ConfigError naming its section.  Every seed is explicit in the
-resolved form, and the canonical JSON digest stamps artifacts.
+a section is the library type it feeds plus its config-only keys, and a bad
+value is a ConfigError naming its section.  Every seed is a `seeds` key, and
+the canonical JSON digest stamps artifacts.
 """
 
 from __future__ import annotations
@@ -91,26 +91,18 @@ class ScorerSection:
 
 
 @dataclass(frozen=True)
-class EncoderSection:
-    vocab_buckets: int = 4096
-    dim: int = 64
+class EncoderSection(EncoderConfig):
     hidden: int = 64
 
     def __post_init__(self) -> None:
-        self.config()
         if self.hidden <= 0:
             raise ConfigError("encoder.hidden must be positive")
-
-    def config(self) -> EncoderConfig:
-        return EncoderConfig(self.vocab_buckets, self.dim)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
-class RetrieverSection:
+class RetrieverSection(RetrieverTrainConfig):
     candidates_b: int = 25  # BM25 half; total candidates = 2b
-    learning_rate: float = 0.05
-    epochs: int = 2
-    lam: float = 0.2
     in_batch_negatives: bool = False
 
     def __post_init__(self) -> None:
@@ -120,31 +112,21 @@ class RetrieverSection:
             raise ConfigError(
                 "retriever.in_batch_negatives is reserved; the explicit-negatives "
                 "objective is the only implemented variant")
-        self.train_config(0)
-
-    def train_config(self, seed: int) -> RetrieverTrainConfig:
-        return RetrieverTrainConfig(self.learning_rate, self.epochs, self.lam, seed)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
-class RerankerSection:
+class RerankerSection(RerankerTrainConfig):
     retrieve_m: int = 50
     iterations: int = 3
     trajectories: int = 1
-    max_pairs_per_sample: int | None = None
-    learning_rate: float = 0.001
-    epochs: int = 2
 
     def __post_init__(self) -> None:
         if self.iterations > self.retrieve_m:
             raise ConfigError("reranker.iterations must not exceed reranker.retrieve_m")
         if self.iterations < 1 or self.trajectories < 1:
             raise ConfigError("reranker.iterations and reranker.trajectories must be at least 1")
-        self.train_config(0)
-
-    def train_config(self, seed: int) -> RerankerTrainConfig:
-        return RerankerTrainConfig(self.max_pairs_per_sample, self.learning_rate,
-                                   self.epochs, seed)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)

@@ -377,7 +377,6 @@ class RerankerTrainConfig:
     max_pairs_per_sample: int | None = None
     learning_rate: float = 0.001
     epochs: int = 2
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0 or self.epochs < 1 or (
@@ -396,7 +395,8 @@ def _group_rows(group: list[DependencySample], buckets: int) -> np.ndarray:
 
 
 def train_reranker(model: CrossEncoder, samples: list[DependencySample],
-                   cfg: RerankerTrainConfig = RerankerTrainConfig()) -> CrossEncoder:
+                   cfg: RerankerTrainConfig = RerankerTrainConfig(),
+                   seed: int = 0) -> CrossEncoder:
     """Seeded gradient descent on the list-pairwise loss.
 
     Samples sharing a training input form one gradient step, so each step
@@ -414,14 +414,14 @@ def train_reranker(model: CrossEncoder, samples: list[DependencySample],
     trained = model.copy()
     # on the float32 grid from the start, as sgd_rows leaves untouched rows alone
     trained.embeddings = snap_f32(model.embeddings)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     for epoch in range(cfg.epochs):
         total = 0.0
         for gi in rng.permutation(len(keys)):
             group = groups[keys[gi]]
             loss, grads = reranker_loss_and_grads(
                 trained, group, cfg.max_pairs_per_sample,
-                np.random.default_rng(cfg.seed + 7919 * int(gi)))
+                np.random.default_rng(seed + 7919 * int(gi)))
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite reranker loss at epoch {epoch} on {keys[gi]}: {loss}")

@@ -284,7 +284,6 @@ class RetrieverTrainConfig:
     learning_rate: float = 0.05
     epochs: int = 2
     lam: float = 0.2
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0 or self.epochs < 1 or self.lam < 0:
@@ -299,7 +298,8 @@ def _set_features(cand_set: ScoredCandidateSet, buckets: int):
 
 
 def train_retriever(model: BiEncoder, sets: list[ScoredCandidateSet],
-                    cfg: RetrieverTrainConfig = RetrieverTrainConfig()) -> BiEncoder:
+                    cfg: RetrieverTrainConfig = RetrieverTrainConfig(),
+                    seed: int = 0) -> BiEncoder:
     """Seeded gradient descent; one step per candidate set; leaves input model untouched.
 
     Features are built once per distinct text, and each step updates only
@@ -309,7 +309,7 @@ def train_retriever(model: BiEncoder, sets: list[ScoredCandidateSet],
         raise ValueError("no training sets")
     # on the float32 grid from the start, as sgd_rows leaves untouched rows alone
     trained = BiEncoder(model.config, snap_f32(model.embeddings))
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     prepared = []
     for s in sets:
         input_feats, demo_feats = _set_features(s, model.config.vocab_buckets)

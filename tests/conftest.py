@@ -141,12 +141,10 @@ def desk_state(tmp_path_factory) -> DeskState:
     split = int(len(sets) * 0.8)
     train_sets, held_sets = sets[:split], sets[split:]
 
-    retr0 = BiEncoder.init(cfg.encoder.config(), cfg.seeds.retriever_init)
-    retr_split = train_retriever(retr0, train_sets,
-                                 cfg.retriever.train_config(cfg.seeds.retriever_train))
+    retr0 = BiEncoder.init(cfg.encoder, cfg.seeds.retriever_init)
+    retr_split = train_retriever(retr0, train_sets, cfg.retriever, cfg.seeds.retriever_train)
     retr_all = s.model("retriever")
-    rr0 = CrossEncoder.init(cfg.encoder.config(), cfg.encoder.hidden,
-                            cfg.seeds.reranker_init)
+    rr0 = CrossEncoder.init(cfg.encoder, cfg.encoder.hidden, cfg.seeds.reranker_init)
 
     # Held-out inputs come from the test split: one Yes and one No per query.
     rng = random.Random(47)

@@ -234,7 +234,18 @@ class TestExitCodes:
         ("reports/random.json", "evaluate-random", ["compare"],
          lambda b: json.dumps({k: v for k, v in json.loads(b).items()
                                if k != "excluded_queries"}).encode()),
-    ], ids=["run-score", "truncated-checkpoint", "report-field"])
+        ("reports/random.json", "evaluate-random", ["compare"], lambda b: b'"x"'),
+        ("reports/random.json", "evaluate-random", ["compare"], lambda b: b"null"),
+        ("data/topics.json", "data", ["score-candidates"], lambda b: b"[]"),
+        ("data/topics.json", "data", ["score-candidates"], lambda b: b'"x"'),
+        ("data/topics.json", "data", ["score-candidates"],
+         lambda b: b'{"query_topics": {}}'),
+        # a valid header (magic, version, metadata length) over metadata `[]`
+        ("retriever.ckpt", "train-retriever", ["rank", "--policy", "retriever-topk"],
+         lambda b: b[:12] + (2).to_bytes(8, "little") + b"[]"),
+    ], ids=["run-score", "truncated-checkpoint", "report-field", "report-string",
+            "report-null", "topics-list", "topics-string", "topics-no-passages",
+            "checkpoint-metadata-list"])
     def test_malformed_output_is_an_artifact_error(self, built, tmp_path, capsys,
                                                    rel, stage, command, mutate):
         config_path, workdir = copy_built(built, tmp_path)
@@ -336,7 +347,9 @@ def rewrite_vouched(workdir, rel, stage, content: bytes) -> None:
     (workdir / rel).write_bytes(content)
     manifest_path = workdir / "manifests" / f"{stage}.manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    manifest["outputs"][rel] = cli._hash_file(workdir / rel)
+    # the data stage records its files by artifact key, e.g. "topics"
+    key = {path: key for key, path in cli.DATA_FILES.items()}.get(rel, rel)
+    manifest["outputs"][key] = cli._hash_file(workdir / rel)
     manifest_path.write_text(json.dumps(manifest))
 
 

@@ -1,7 +1,11 @@
 """Tests for the experiment configuration file format and its digest."""
 
+import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,7 +23,7 @@ from demorank.config import (
     config_from_dict,
     load_config,
 )
-from demorank.retriever import RetrieverTrainConfig
+from demorank.retriever import EncoderConfig, RetrieverTrainConfig
 from demorank.reranker import RerankerTrainConfig
 from demorank.scoring import MockScorerWeights, PromptTemplate
 from demorank.synth import SynthParams
@@ -238,22 +242,36 @@ class TestSectionBuilders:
             config_from_dict({"data": {"topics": 0}})
 
     def test_encoder_config_wrapped(self):
-        assert EncoderSection().config().vocab_buckets == 4096
+        section = EncoderSection(vocab_buckets=256, dim=16, hidden=8)
+        assert isinstance(section, EncoderConfig)
+        assert (section.vocab_buckets, section.dim, section.hidden) == (256, 16, 8)
         with pytest.raises(ConfigError, match="bad value in encoder"):
             config_from_dict({"encoder": {"dim": 0}})
 
     def test_retriever_train_config(self):
-        assert RetrieverSection().train_config(29) == RetrieverTrainConfig(
-            learning_rate=0.05, epochs=2, lam=0.2, seed=29)
+        section = RetrieverSection(learning_rate=0.1, epochs=3, lam=0.5)
+        assert isinstance(section, RetrieverTrainConfig)
+        assert (section.learning_rate, section.epochs, section.lam) == (0.1, 3, 0.5)
         with pytest.raises(ConfigError, match="bad value in retriever"):
             config_from_dict({"retriever": {"learning_rate": -1.0}})
 
     def test_reranker_train_config(self):
-        assert RerankerSection(max_pairs_per_sample=5).train_config(41) == \
-            RerankerTrainConfig(max_pairs_per_sample=5, learning_rate=0.001, epochs=2,
-                                seed=41)
+        section = RerankerSection(max_pairs_per_sample=5, learning_rate=0.01, epochs=3)
+        assert isinstance(section, RerankerTrainConfig)
+        assert (section.max_pairs_per_sample, section.learning_rate, section.epochs) == \
+            (5, 0.01, 3)
         with pytest.raises(ConfigError, match="bad value in reranker"):
             config_from_dict({"reranker": {"epochs": 0}})
+
+    @pytest.mark.parametrize("section, library_type", [
+        ("data", SynthParams), ("template", PromptTemplate), ("bm25", Bm25Params),
+        ("encoder", EncoderConfig), ("retriever", RetrieverTrainConfig),
+        ("reranker", RerankerTrainConfig),
+    ])
+    def test_section_is_its_library_type(self, section, library_type):
+        assert isinstance(getattr(ExperimentConfig(), section), library_type)
+        # seeds are `seeds.*` keys only, passed to the trainers as arguments
+        assert "seed" not in {f.name for f in dataclasses.fields(library_type)}
 
     def test_mock_weights(self):
         assert ScorerSection().mock_weights() == MockScorerWeights(
@@ -286,9 +304,15 @@ class TestLoadConfig:
             load_config(path)
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _readme() -> str:
+    return (ROOT / "README.md").read_text(encoding="utf-8")
+
+
 def _readme_config_block() -> str:
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Configuration", 1)[1]
+    section = _readme().split("## Configuration", 1)[1]
     return section.split("```jsonc\n", 1)[1].split("```", 1)[0]
 
 
@@ -301,3 +325,13 @@ def test_readme_config_block_lists_every_key_with_its_default():
         for key, value in values.items():
             if value != "...":
                 assert value == defaults[section][key], f"{section}.{key}"
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```$", _readme(), re.S | re.M)
+    assert blocks
+    for block in blocks:
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        result = subprocess.run([sys.executable, "-c", block], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr

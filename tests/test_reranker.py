@@ -449,9 +449,9 @@ class TestTrainReranker:
     def test_deterministic_and_leaves_input_untouched(self, toy_chain):
         model = CrossEncoder.init(toy_chain["config"], 8, 37)
         before = model.embeddings.copy()
-        cfg = RerankerTrainConfig(seed=41, epochs=1)
-        a = train_reranker(model, toy_chain["samples"], cfg)
-        b = train_reranker(model, toy_chain["samples"], cfg)
+        cfg = RerankerTrainConfig(epochs=1)
+        a = train_reranker(model, toy_chain["samples"], cfg, 41)
+        b = train_reranker(model, toy_chain["samples"], cfg, 41)
         np.testing.assert_array_equal(a.embeddings, b.embeddings)
         np.testing.assert_array_equal(a.w1, b.w1)
         np.testing.assert_array_equal(a.w2, b.w2)
@@ -463,7 +463,7 @@ class TestTrainReranker:
         texts |= {demo_text(d) for s in samples for c in s.continuations for d in c.demos}
         model = CrossEncoder.init(toy_chain["config"], 8, 37)
         text_features.cache_clear()
-        train_reranker(model, samples, RerankerTrainConfig(seed=41, epochs=2))
+        train_reranker(model, samples, RerankerTrainConfig(epochs=2), 41)
         assert text_features.cache_info().misses == len(texts)
 
     def test_epoch_losses_non_increasing(self, toy_chain):
@@ -473,21 +473,21 @@ class TestTrainReranker:
         model = CrossEncoder.init(toy_chain["config"], 8, 37)
         losses = [list_pairwise_loss(model, toy_chain["samples"])]
         for epochs in (1, 2, 3):
-            cfg = RerankerTrainConfig(seed=41, epochs=epochs)
-            trained = train_reranker(model, toy_chain["samples"], cfg)
+            cfg = RerankerTrainConfig(epochs=epochs)
+            trained = train_reranker(model, toy_chain["samples"], cfg, 41)
             losses.append(list_pairwise_loss(trained, toy_chain["samples"]))
         for earlier, later in zip(losses, losses[1:]):
             assert later <= earlier + 1e-9
 
     def test_parameters_stay_float32_representable(self, toy_chain):
         model = CrossEncoder.init(toy_chain["config"], 8, 37)
-        cfg = RerankerTrainConfig(seed=41, epochs=1)
-        trained = train_reranker(model, toy_chain["samples"], cfg)
+        cfg = RerankerTrainConfig(epochs=1)
+        trained = train_reranker(model, toy_chain["samples"], cfg, 41)
         for arr in (trained.embeddings, trained.w1, trained.b1, trained.w2, trained.b2):
             np.testing.assert_array_equal(arr, snap_f32(arr))
         # also from an embedding table off the grid, including rows no step touches
         model.embeddings = model.embeddings + 1e-10
-        trained = train_reranker(model, toy_chain["samples"], cfg)
+        trained = train_reranker(model, toy_chain["samples"], cfg, 41)
         np.testing.assert_array_equal(trained.embeddings, snap_f32(trained.embeddings))
 
 

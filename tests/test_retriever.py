@@ -441,9 +441,8 @@ class TestTrainRetriever:
         sets = self.make_sets(rng)
         model = BiEncoder.init(EncoderConfig(vocab_buckets=64, dim=8), 42)
         before = model.embeddings.copy()
-        cfg = RetrieverTrainConfig(seed=7)
-        trained_a = train_retriever(model, sets, cfg)
-        trained_b = train_retriever(model, sets, cfg)
+        trained_a = train_retriever(model, sets, RetrieverTrainConfig(), 7)
+        trained_b = train_retriever(model, sets, RetrieverTrainConfig(), 7)
         np.testing.assert_array_equal(trained_a.embeddings, trained_b.embeddings)
         np.testing.assert_array_equal(model.embeddings, before)
         assert not np.array_equal(trained_a.embeddings, before)
@@ -452,16 +451,16 @@ class TestTrainRetriever:
         rng = np.random.default_rng(42)
         sets = self.make_sets(rng)
         model = BiEncoder.init(EncoderConfig(vocab_buckets=64, dim=8), 42)
-        a = train_retriever(model, sets, RetrieverTrainConfig(seed=7))
-        b = train_retriever(model, sets, RetrieverTrainConfig(seed=8))
+        a = train_retriever(model, sets, RetrieverTrainConfig(), 7)
+        b = train_retriever(model, sets, RetrieverTrainConfig(), 8)
         assert not np.array_equal(a.embeddings, b.embeddings)
 
     def test_corpus_loss_decreases(self):
         rng = np.random.default_rng(42)
         sets = self.make_sets(rng, n_sets=10)
         model = BiEncoder.init(EncoderConfig(vocab_buckets=64, dim=8), 42)
-        cfg = RetrieverTrainConfig(seed=7)
-        trained = train_retriever(model, sets, cfg)
+        cfg = RetrieverTrainConfig()
+        trained = train_retriever(model, sets, cfg, 7)
         assert (retriever_corpus_loss(trained, sets, cfg.lam)
                 < retriever_corpus_loss(model, sets, cfg.lam))
 
@@ -469,11 +468,11 @@ class TestTrainRetriever:
         rng = np.random.default_rng(42)
         sets = self.make_sets(rng)
         model = BiEncoder.init(EncoderConfig(vocab_buckets=64, dim=8), 42)
-        trained = train_retriever(model, sets, RetrieverTrainConfig(seed=7))
+        trained = train_retriever(model, sets, RetrieverTrainConfig(), 7)
         np.testing.assert_array_equal(trained.embeddings, snap_f32(trained.embeddings))
         # also from a table off the grid, including rows no step touches
         off_grid = BiEncoder(model.config, model.embeddings + 1e-10)
-        trained = train_retriever(off_grid, sets, RetrieverTrainConfig(seed=7))
+        trained = train_retriever(off_grid, sets, RetrieverTrainConfig(), 7)
         np.testing.assert_array_equal(trained.embeddings, snap_f32(trained.embeddings))
 
     def test_featurizes_each_distinct_text_once(self):
@@ -483,7 +482,7 @@ class TestTrainRetriever:
         texts |= {demo_text(c.demo) for s in sets for c in s.candidates}
         model = BiEncoder.init(EncoderConfig(vocab_buckets=64, dim=8), 42)
         text_features.cache_clear()
-        train_retriever(model, sets, RetrieverTrainConfig(seed=7))
+        train_retriever(model, sets, RetrieverTrainConfig(), 7)
         assert text_features.cache_info().misses == len(texts)
 
     def test_rejects_empty_training_set(self):

@@ -83,12 +83,12 @@ def toy_trained(toy_chain):
         for inp, retrieved in zip(toy_chain["inputs"], toy_chain["retrieved"])
     ]
     retriever = train_retriever(BiEncoder.init(toy_chain["config"], 23), sets,
-                                RetrieverTrainConfig(seed=29))
+                                RetrieverTrainConfig(), 29)
     rr0 = CrossEncoder.init(toy_chain["config"], 8, 37)
     full = train_reranker(rr0, toy_chain["samples"],
-                          RerankerTrainConfig(seed=41))
+                          RerankerTrainConfig(), 41)
     capped = train_reranker(rr0, toy_chain["samples"],
-                            RerankerTrainConfig(seed=41, max_pairs_per_sample=5))
+                            RerankerTrainConfig(max_pairs_per_sample=5), 41)
     return {
         "toy.retriever": {"embeddings": digest(retriever.embeddings)},
         "toy.reranker": reranker_digests(full),

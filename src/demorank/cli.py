@@ -115,7 +115,10 @@ class Workspace:
     def hash(self, path: Path) -> str:
         """The file's SHA-256, computed once per command (see write_manifest)."""
         if path not in self.hashes:
-            self.hashes[path] = _hash_file(path)
+            try:
+                self.hashes[path] = _hash_file(path)
+            except OSError as exc:
+                raise ArtifactError(f"cannot read {path}: {exc}") from exc
         return self.hashes[path]
 
     def write_manifest(self, name: str, command: str, inputs: dict[str, str],

@@ -1,7 +1,7 @@
 """Pointwise LLM scorer abstraction.
 
-A scorer backend maps a rendered prompt (task description, k demonstrations,
-one test input) to a probability distribution over the Yes/No label space.
+A scorer backend maps a request (task description, k demonstrations, one
+test input) to a probability distribution over the Yes/No label space.
 Two backends ship: a deterministic mock built on token overlap, used for all
 tests and desk experiments, and an HTTP client for a real model server.  The
 HTTP client imports `requests` when it is built, so a process that only uses
@@ -16,11 +16,12 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import sha256
 from math import exp, isfinite
 from typing import TYPE_CHECKING, Callable, Protocol
+from urllib.parse import urlsplit, urlunsplit
 
 from .bm25 import tokenize
 from .data import Demonstration, Label, LABEL_SPACE, TrainingInput
@@ -71,15 +72,6 @@ class PromptTemplate:
         if "{label}" in self.input_format:
             raise ValueError("input_format must not contain {label}")
 
-    def render(self, request: "ScoreRequest") -> str:
-        parts = [self.task_description]
-        for d in request.demos:
-            parts.append(self.demo_format.format(
-                query=d.query.text, passage=d.passage.text, label=d.label.value))
-        parts.append(self.input_format.format(
-            query=request.input_query, passage=request.input_passage))
-        return self.separator.join(parts)
-
 
 @dataclass(frozen=True)
 class ScoreRequest:
@@ -89,9 +81,20 @@ class ScoreRequest:
     input_passage: str
     label_space: tuple[str, str] = LABEL_SPACE
 
+    def body(self) -> dict:
+        """The `/v1/score` JSON; the template contributes only its task description."""
+        return {
+            "task_description": self.template.task_description,
+            "demonstrations": [
+                {"query": d.query.text, "passage": d.passage.text, "label": d.label.value}
+                for d in self.demos
+            ],
+            "input": {"query": self.input_query, "passage": self.input_passage},
+            "label_space": list(self.label_space),
+        }
+
     def digest(self) -> str:
-        payload = self.template.render(self) + "\x1f" + "\x1f".join(self.label_space)
-        return sha256(payload.encode("utf-8")).hexdigest()
+        return sha256(json.dumps(self.body()).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -251,22 +254,11 @@ class HttpScorer:
         self._gate = threading.Semaphore(max_in_flight)
 
     def _url(self) -> str:
-        return self.base_url.rstrip("/") + SCORE_PATH
+        parts = urlsplit(self.base_url)  # /v1/score joins the path; the query stays
+        return urlunsplit(parts._replace(path=parts.path.rstrip("/") + SCORE_PATH))
 
     def identity(self) -> str:
         return f"http {self._url()}"
-
-    @staticmethod
-    def _body(request: ScoreRequest) -> dict:
-        return {
-            "task_description": request.template.task_description,
-            "demonstrations": [
-                {"query": d.query.text, "passage": d.passage.text, "label": d.label.value}
-                for d in request.demos
-            ],
-            "input": {"query": request.input_query, "passage": request.input_passage},
-            "label_space": list(request.label_space),
-        }
 
     def _parse(self, resp: requests.Response, request: ScoreRequest) -> LabelDistribution:
         try:
@@ -281,7 +273,6 @@ class HttpScorer:
     def distribution(self, request: ScoreRequest) -> LabelDistribution:
         from requests import RequestException  # loaded by __init__
 
-        body = self._body(request)
         url = self._url()
         last_err: Exception | None = None
         for attempt in range(self.max_retries):
@@ -292,7 +283,7 @@ class HttpScorer:
                 time.sleep(delay + random.uniform(0, 0.1 * delay))
             try:
                 with self._gate:
-                    resp = self._session.post(url, json=body, timeout=self.timeout)
+                    resp = self._session.post(url, json=request.body(), timeout=self.timeout)
                 status = resp.status_code
                 if 400 <= status < 500 and status not in RETRYABLE_4XX:
                     raise BackendError(
@@ -361,9 +352,11 @@ class ScoreCache:
         entry is not a distribution `LabelDistribution` accepts."""
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        try:
+        try:  # a JSON value that unpacks into two numbers is a [number, number] list
             entries = {k: LabelDistribution(float(yes), float(no))
-                       for k, (yes, no) in obj.items()}
+                       for k, (yes, no) in obj.items() if {type(yes), type(no)} <= {int, float}}
+            if len(entries) < len(obj):
+                raise ValueError("an entry is not a pair of numbers")
         except (AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"not a JSON object of [p_yes, p_no] pairs: {exc}") from exc
         with self._lock:

@@ -255,6 +255,15 @@ class TestExitCodes:
         assert err.startswith("artifact error: ")
         assert str(workdir / rel) in err
 
+    def test_input_that_is_a_directory_is_an_artifact_error(self, built, tmp_path, capsys):
+        config_path, workdir = copy_built(built, tmp_path)
+        run = workdir / "runs" / "random.run"
+        run.unlink()
+        run.mkdir()
+        assert run_cli(config_path, workdir, "evaluate", "--policy", "random") == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"artifact error: cannot read {run}: ")
+
     def test_iterations_beyond_the_pool_is_a_config_error(self, tmp_path, capsys):
         config_path = write_config(tmp_path, {"data": {"train_queries": 3},
                                               "retriever": {"candidates_b": 2},
@@ -490,7 +499,24 @@ class TestScoreCache:
                        global_args=("--force",)) == 0
         assert (workdir / "scored.jsonl").read_bytes() == cached
 
-    @pytest.mark.parametrize("content", ["{bad", '{"x": 1}', "[]", '{"x": [2.0, -1.0]}'])
+    def test_cache_is_shared_across_format_keys(self, tmp_path, capsys):
+        """The format keys reach no scorer, so they split no cache key."""
+        cache_path = tmp_path / "scores.cache"
+        for name, separator in (("a", "\n\n"), ("b", " | ")):
+            (tmp_path / name).mkdir()
+            config_path = write_config(tmp_path / name, {"template": {"separator": separator}})
+            workdir = tmp_path / name / "work"
+            build_chain(config_path, workdir, upto="mine-candidates")
+            assert run_cli(config_path, workdir, "score-candidates",
+                           global_args=("--score-cache", str(cache_path))) == 0
+        scores, hits = map(int, re.search(
+            r"score-candidates: (\d+) scores \((\d+) cache hits\)",
+            capsys.readouterr().out.splitlines()[-1]).groups())
+        assert hits == scores > 0
+
+    @pytest.mark.parametrize("content", [
+        "{bad", '{"x": 1}', "[]", '{"x": [2.0, -1.0]}', '{"x": [true, false]}',
+        '{"x": ["0.25", "0.75"]}', '{"x": {"0.25": 1, "0.75": 2}}', '{"x": "01"}'])
     def test_corrupt_cache_is_an_artifact_error(self, built, tmp_path, capsys, content):
         config_path, workdir = copy_built(built, tmp_path)
         cache_path = tmp_path / "scores.cache"

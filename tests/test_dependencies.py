@@ -34,6 +34,30 @@ def test_runtime_imports_are_stdlib_numpy_or_requests():
     assert not undeclared, sorted(undeclared)
 
 
+def unused_imports(path: Path) -> set[str]:
+    """Names a module imports and never reads; lines marked `# noqa: F401`
+    and `from __future__` imports are exempt."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source, str(path))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        and "# noqa: F401" not in lines[node.lineno - 1]
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_every_import_in_src_is_used():
+    modules = sorted(Path(demorank.__file__).parent.glob("*.py"))
+    unused = {f"{path.name}: {name}" for path in modules for name in unused_imports(path)}
+    assert not unused, sorted(unused)
+
+
 def test_package_import_loads_no_module():
     """Names are imported from their modules; `import demorank` alone loads
     no submodule and no numpy."""

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import threading
+from hashlib import sha256
 from types import SimpleNamespace
 
 import pytest
@@ -43,26 +44,6 @@ def sigmoid(x):
 
 
 class TestPromptTemplate:
-    def test_render_order_and_separator(self):
-        template = PromptTemplate(
-            task_description="TASK",
-            demo_format="D {query}|{passage}|{label}",
-            input_format="I {query}|{passage}",
-            separator=" :: ")
-        req = request([demo("q1", "p1", "Yes"), demo("q2", "p2", "No")],
-                      "qx", "px", template)
-        assert template.render(req) == (
-            "TASK :: D q1|p1|Yes :: D q2|p2|No :: I qx|px")
-
-    def test_default_render_zero_demos(self):
-        template = PromptTemplate()
-        req = request([], "the query", "the passage", template)
-        assert template.render(req) == (
-            "Given a passage and a query, decide whether the passage answers"
-            " the query.\n\n"
-            "Passage: the passage\nQuery: the query\n"
-            "Does the passage answer the query? Answer:")
-
     def test_missing_hole_rejected(self):
         with pytest.raises(ValueError):
             PromptTemplate(demo_format="no holes {label}")
@@ -101,6 +82,29 @@ class TestScoreRequestDigest:
         b = ScoreRequest(PromptTemplate(), (), "iq", "ip",
                          label_space=("True", "False"))
         assert a.digest() != b.digest()
+
+    def test_demo_and_input_do_not_collide_with_a_crafted_passage(self):
+        """A request without demos whose passage spells out a demo and the
+        input in the default formats is still a different request."""
+        with_demo = request([demo("alpha", "beta", "Yes")], "gamma", "delta")
+        crafted = request([], "gamma", "beta\nQuery: alpha\nDoes the passage answer"
+                          " the query? Answer: Yes\n\nPassage: delta")
+        assert with_demo.body() != crafted.body()
+        assert with_demo.digest() != crafted.digest()
+
+    def test_only_the_task_description_of_the_template_counts(self):
+        demos = [demo("q", "p", "Yes")]
+        base = request(demos, "iq", "ip").digest()
+        for fields in ({"demo_format": "D {query}|{passage}|{label}"},
+                       {"input_format": "I {query}|{passage}"},
+                       {"separator": " :: "}):
+            assert request(demos, "iq", "ip", PromptTemplate(**fields)).digest() == base
+        assert request(demos, "iq", "ip", PromptTemplate(task_description="TASK")
+                       ).digest() != base
+
+    def test_digest_is_the_hash_of_the_body(self):
+        req = request([demo("q", "p", "No")], "iq", "ip")
+        assert req.digest() == sha256(json.dumps(req.body()).encode("utf-8")).hexdigest()
 
 
 class TestLabelDistribution:
@@ -395,6 +399,13 @@ class TestHttpScorer:
         assert body["demonstrations"] == [
             {"query": "q", "passage": "p", "label": "Yes"}]
 
+    def test_server_receives_the_request_body(self):
+        req = request([demo("q1", "p1", "Yes"), demo("q2", "p2", "No")], "iq", "ip",
+                      PromptTemplate(task_description="TASK"))
+        with scripted_server([(200, {"p": {"Yes": 1, "No": 1}})]) as (url, seen):
+            HttpScorer(url, max_retries=1).distribution(req)
+        assert [body for _, body in seen] == [req.body()]
+
     def test_retries_server_error_then_succeeds(self):
         script = [(500, {}), (200, {"p": {"Yes": 1, "No": 1}})]
         with scripted_server(script) as (url, seen):
@@ -496,7 +507,8 @@ class TestHttpScorer:
 
     @pytest.mark.parametrize("suffix, path", [
         ("", "/v1/score"), ("/", "/v1/score"),
-        ("/api", "/api/v1/score"), ("/api/", "/api/v1/score")])
+        ("/api", "/api/v1/score"), ("/api/", "/api/v1/score"),
+        ("/?key=abc", "/v1/score?key=abc"), ("/api/?key=abc", "/api/v1/score?key=abc")])
     def test_score_path_is_joined_onto_the_endpoint(self, suffix, path):
         with scripted_server([(200, {"p": {"Yes": 1, "No": 1}})]) as (url, seen):
             scorer = HttpScorer(url + suffix, max_retries=1)

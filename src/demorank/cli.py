@@ -16,7 +16,8 @@ policy (`rank-<policy>`, `evaluate-<policy>`), so a run file or report that
 changed since it was written is caught like any other stale artifact.
 
 Exit codes: 0 success, 2 configuration error (an unusable --workdir or
---score-cache, or a scorer endpoint that is not an http(s) URL, included),
+--score-cache, a scorer endpoint that is not an http(s) URL, and a training
+loss that turns non-finite under too high a learning rate, included),
 3 missing, stale or unreadable artifact (a corrupt --score-cache included),
 4 scorer backend failure.
 """
@@ -34,7 +35,6 @@ from functools import cached_property, partial
 from hashlib import sha256
 from pathlib import Path
 from typing import Callable
-from urllib.parse import urlsplit
 
 from . import bm25, checkpoint, data, pipeline, reranker, retriever, scoring, synth
 from .config import ConfigError, ExperimentConfig, check_policies, load_config
@@ -244,21 +244,17 @@ class Session:
             inner = scoring.MockScorer(sc.mock_weights(), oracle,
                                        sc.mock_relevance_threshold)
         else:
-            url = scoring.resolve_scorer_url(sc.endpoint or None)
+            url = os.environ.get(scoring.ENV_SCORER_URL) or sc.endpoint
             if not url:
                 raise ConfigError(
                     "scorer.backend is http but no endpoint is configured "
                     f"(set scorer.endpoint or ${scoring.ENV_SCORER_URL})")
             try:
-                parts = urlsplit(url)
-            except ValueError:
-                parts = None
-            if not parts or parts.scheme not in ("http", "https") or not parts.hostname:
-                raise ConfigError(f"scorer endpoint {url!r} is not an http:// or "
-                                  "https:// URL with a host")
-            inner = scoring.HttpScorer(url, timeout=sc.timeout_sec,
-                                       max_retries=sc.max_retries,
-                                       max_in_flight=sc.max_in_flight)
+                inner = scoring.HttpScorer(url, timeout=sc.timeout_sec,
+                                           max_retries=sc.max_retries,
+                                           max_in_flight=sc.max_in_flight)
+            except ValueError as exc:  # the endpoint is not an http(s) URL
+                raise ConfigError(str(exc)) from exc
         cached = scoring.CachedScorer(inner)
         if self.score_cache and self.score_cache.exists():
             try:
@@ -334,7 +330,7 @@ def _score_candidates(s: Session, out: dict[str, Path]) -> str:
     ]
     retriever.write_scored_sets(out["scored.jsonl"], sets)
     return (f"{sum(len(c.candidates) for c in sets)} scores "
-            f"({s.backend.cache.stats.hits} cache hits)")
+            f"({s.backend.cache.hits} cache hits)")
 
 
 def _train_retriever(s: Session, out: dict[str, Path]) -> str:
@@ -552,6 +548,9 @@ def main(argv=None) -> int:
         return run_command(Workspace(args.workdir, config, config_dir), args, policies)
     except (ConfigError, bm25.PoolTooSmallError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except retriever.NonFiniteLossError as exc:
+        print(f"config error: {exc}; lower {exc.model}.learning_rate", file=sys.stderr)
         return 2
     except (ArtifactError, data.CorpusError) as exc:
         print(f"artifact error: {exc}", file=sys.stderr)

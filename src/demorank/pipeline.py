@@ -235,21 +235,16 @@ class EvalReport:
     shots: int
     mean_ndcg: float
     per_query: dict[str, float]
-    excluded: list[str]
+    excluded_queries: list[str]
     config_digest: str = ""
     wall_clock_sec: float = 0.0
 
-    # The file calls the `excluded` field "excluded_queries".
     def to_json(self) -> str:
-        obj = asdict(self)
-        obj["excluded_queries"] = obj.pop("excluded")
-        return json.dumps(obj, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
-        obj = json.loads(text)
-        obj["excluded"] = obj.pop("excluded_queries")
-        return cls(**obj)
+        return cls(**json.loads(text))
 
 
 def initial_rankings(dataset: Dataset, params: Bm25Params) -> dict[str, list[Passage]]:

@@ -25,6 +25,7 @@ from .data import Demonstration, RefResolver, TrainingInput, read_jsonl, write_j
 from .retriever import (
     EncoderConfig,
     EncodingCache,
+    NonFiniteLossError,
     demo_text,
     feats_rows,
     input_text,
@@ -423,8 +424,7 @@ def train_reranker(model: CrossEncoder, samples: list[DependencySample],
                 trained, group, cfg.max_pairs_per_sample,
                 np.random.default_rng(seed + 7919 * int(gi)))
             if not np.isfinite(loss):
-                raise RuntimeError(
-                    f"non-finite reranker loss at epoch {epoch} on {keys[gi]}: {loss}")
+                raise NonFiniteLossError("reranker", epoch, keys[gi], loss)
             total += loss
             sgd_rows(trained.embeddings, grads["embeddings"], rows[gi], cfg.learning_rate)
             trained.w1 = snap_f32(trained.w1 - cfg.learning_rate * grads["w1"])

@@ -290,6 +290,14 @@ class RetrieverTrainConfig:
             raise ValueError("bad retriever training config")
 
 
+class NonFiniteLossError(RuntimeError):
+    """A training loss overflowed: the `model` trainer's learning rate is too high."""
+
+    def __init__(self, model: str, epoch: int, key: str, loss: float) -> None:
+        super().__init__(f"non-finite {model} loss at epoch {epoch} on {key}: {loss}")
+        self.model = model
+
+
 def _set_features(cand_set: ScoredCandidateSet, buckets: int):
     inp = cand_set.input
     input_feats = text_features(input_text(inp.query.text, inp.passage.text), buckets)
@@ -322,10 +330,7 @@ def train_retriever(model: BiEncoder, sets: list[ScoredCandidateSet],
             loss, grad = set_loss_and_grad(trained.embeddings, input_feats,
                                            demo_feats, pos, ranks, cfg.lam)
             if not np.isfinite(loss):
-                raise RuntimeError(
-                    f"non-finite retriever loss at epoch {epoch} on "
-                    f"{cand_set.input.input_id}: {loss}"
-                )
+                raise NonFiniteLossError("retriever", epoch, cand_set.input.input_id, loss)
             total += loss
             sgd_rows(trained.embeddings, grad, rows, cfg.learning_rate)
         logger.info("retriever epoch %d mean loss %.6f", epoch, total / len(prepared))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import random
 import threading
 import time
@@ -52,6 +51,14 @@ class BackendUnavailableError(BackendError):
 
 class MalformedResponseError(BackendError):
     pass
+
+
+def _json_number(value) -> float:
+    """A JSON number as a float; TypeError for a bool, a string or any other
+    value, OverflowError for an int beyond float range."""
+    if type(value) not in (int, float):
+        raise TypeError(f"not a JSON number: {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -244,50 +251,51 @@ class HttpScorer:
                  session: requests.Session | None = None) -> None:
         if max_retries < 1:
             raise ValueError("max_retries must be at least 1")
+        try:
+            parts = urlsplit(base_url)
+            if parts.scheme not in ("http", "https") or not parts.hostname:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"scorer endpoint {base_url!r} is not an http:// or "
+                             "https:// URL with a host") from None
         import requests
 
-        self.base_url = base_url
+        # /v1/score joins the path; the query stays
+        self.url = urlunsplit(parts._replace(path=parts.path.rstrip("/") + SCORE_PATH))
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self._session = session or requests.Session()
         self._gate = threading.Semaphore(max_in_flight)
 
-    def _url(self) -> str:
-        parts = urlsplit(self.base_url)  # /v1/score joins the path; the query stays
-        return urlunsplit(parts._replace(path=parts.path.rstrip("/") + SCORE_PATH))
-
     def identity(self) -> str:
-        return f"http {self._url()}"
+        return f"http {self.url}"
 
     def _parse(self, resp: requests.Response, request: ScoreRequest) -> LabelDistribution:
         try:
-            obj = resp.json()
-            p = obj["p"]
-            yes = float(p[request.label_space[0]])
-            no = float(p[request.label_space[1]])
-        except (ValueError, KeyError, TypeError) as exc:
+            p = resp.json()["p"]
+            yes, no = (_json_number(p[label]) for label in request.label_space)
+        except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
             raise MalformedResponseError(f"bad response body: {exc}") from exc
         return LabelDistribution.from_unnormalized(yes, no)
 
     def distribution(self, request: ScoreRequest) -> LabelDistribution:
         from requests import RequestException  # loaded by __init__
 
-        url = self._url()
         last_err: Exception | None = None
         for attempt in range(self.max_retries):
             if attempt:
                 delay = self.backoff_base * (2 ** (attempt - 1))
                 logger.warning("scorer at %s: attempt %d of %d failed (%s); retrying",
-                               url, attempt, self.max_retries, cause)
+                               self.url, attempt, self.max_retries, cause)
                 time.sleep(delay + random.uniform(0, 0.1 * delay))
             try:
                 with self._gate:
-                    resp = self._session.post(url, json=request.body(), timeout=self.timeout)
+                    resp = self._session.post(self.url, json=request.body(), timeout=self.timeout)
                 status = resp.status_code
                 if 400 <= status < 500 and status not in RETRYABLE_4XX:
                     raise BackendError(
-                        f"scorer at {url} rejected the request with status {status} "
+                        f"scorer at {self.url} rejected the request with status {status} "
                         f"(query={request.input_query[:60]!r})")
                 if not 200 <= status < 300:
                     last_err = BackendError(f"status {status}")
@@ -298,23 +306,13 @@ class HttpScorer:
                 last_err = exc
                 cause = type(exc).__name__
         raise BackendUnavailableError(
-            f"scorer at {url} failed after {self.max_retries} attempts "
+            f"scorer at {self.url} failed after {self.max_retries} attempts "
             f"(query={request.input_query[:60]!r}): {last_err}"
         ) from last_err
 
 
-def resolve_scorer_url(configured: str | None) -> str | None:
-    return os.environ.get(ENV_SCORER_URL) or configured
-
-
 # ---------------------------------------------------------------------------
 # Cache
-
-
-@dataclass
-class CacheStats:
-    hits: int = 0
-    misses: int = 0
 
 
 class ScoreCache:
@@ -323,7 +321,8 @@ class ScoreCache:
     def __init__(self) -> None:
         self._store: dict[str, LabelDistribution] = {}
         self._lock = threading.Lock()
-        self.stats = CacheStats()
+        self.hits = 0
+        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._store)
@@ -332,9 +331,9 @@ class ScoreCache:
         with self._lock:
             got = self._store.get(digest)
             if got is None:
-                self.stats.misses += 1
+                self.misses += 1
             else:
-                self.stats.hits += 1
+                self.hits += 1
             return got
 
     def store(self, digest: str, dist: LabelDistribution) -> None:
@@ -353,11 +352,9 @@ class ScoreCache:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
         try:  # a JSON value that unpacks into two numbers is a [number, number] list
-            entries = {k: LabelDistribution(float(yes), float(no))
-                       for k, (yes, no) in obj.items() if {type(yes), type(no)} <= {int, float}}
-            if len(entries) < len(obj):
-                raise ValueError("an entry is not a pair of numbers")
-        except (AttributeError, TypeError, ValueError) as exc:
+            entries = {k: LabelDistribution(_json_number(yes), _json_number(no))
+                       for k, (yes, no) in obj.items()}
+        except (ArithmeticError, AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"not a JSON object of [p_yes, p_no] pairs: {exc}") from exc
         with self._lock:
             self._store.update(entries)

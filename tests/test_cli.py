@@ -275,6 +275,19 @@ class TestExitCodes:
         assert err.startswith("config error: reranker.iterations is 8")
         assert "pool has 6 demos" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow on the way
+    @pytest.mark.parametrize("model, rate", [("retriever", 1e30), ("reranker", 1e300)])
+    def test_non_finite_training_loss_is_a_config_error(self, tmp_path, capsys, model, rate):
+        config_path = write_config(tmp_path, {model: {"learning_rate": rate}})
+        workdir = tmp_path / "work"
+        command = f"train-{model}"
+        build_chain(config_path, workdir, upto=CHAIN[CHAIN.index(command) - 1])
+        assert run_cli(config_path, workdir, command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: non-finite {model} loss at epoch 0 on ")
+        assert err.rstrip().endswith(f"; lower {model}.learning_rate")
+        assert not (workdir / f"{model}.ckpt").exists()
+
     def test_http_backend_without_endpoint(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("DEMORANK_SCORER_URL", raising=False)
         config_path = write_config(tmp_path, {"scorer": {"backend": "http"}})

@@ -378,7 +378,7 @@ class TestRunPolicy:
             for ranks in by_query.values():
                 assert sorted(ranks) == list(range(1, len(ranks) + 1))
             assert set(report.per_query) == judged
-            assert report.excluded == []
+            assert report.excluded_queries == []
 
     def test_zero_shot_matches_direct_ranking(self, policy_world):
         synth, ctx = policy_world

@@ -33,7 +33,14 @@ from demorank.reranker import (
     train_reranker,
     write_samples,
 )
-from demorank.retriever import EncoderConfig, demo_text, input_text, snap_f32, text_features
+from demorank.retriever import (
+    EncoderConfig,
+    NonFiniteLossError,
+    demo_text,
+    input_text,
+    snap_f32,
+    text_features,
+)
 from demorank.scoring import MockScorer, PromptTemplate, score_list
 from demorank.synth import SynthParams, generate_synthetic_dataset
 
@@ -445,6 +452,14 @@ class TestTrainReranker:
         model = CrossEncoder.init(EncoderConfig(vocab_buckets=16, dim=4), 4, 42)
         with pytest.raises(ValueError, match="no training samples"):
             train_reranker(model, [])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow on the way
+    def test_non_finite_loss_names_the_trainer(self, toy_chain):
+        model = CrossEncoder.init(toy_chain["config"], 8, 37)
+        cfg = RerankerTrainConfig(learning_rate=1e300, epochs=1)
+        with pytest.raises(NonFiniteLossError, match="non-finite reranker loss at epoch 0") as exc:
+            train_reranker(model, toy_chain["samples"], cfg, 41)
+        assert exc.value.model == "reranker"
 
     def test_deterministic_and_leaves_input_untouched(self, toy_chain):
         model = CrossEncoder.init(toy_chain["config"], 8, 37)

@@ -12,6 +12,7 @@ from demorank.retriever import (
     DenseIndex,
     EncoderConfig,
     EncodingCache,
+    NonFiniteLossError,
     RetrieverTrainConfig,
     ScoredCandidate,
     ScoredCandidateSet,
@@ -484,6 +485,16 @@ class TestTrainRetriever:
         text_features.cache_clear()
         train_retriever(model, sets, RetrieverTrainConfig(), 7)
         assert text_features.cache_info().misses == len(texts)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow on the way
+    def test_non_finite_loss_names_the_trainer(self):
+        rng = np.random.default_rng(42)
+        sets = self.make_sets(rng)
+        model = BiEncoder.init(EncoderConfig(vocab_buckets=64, dim=8), 42)
+        with pytest.raises(NonFiniteLossError,
+                           match="non-finite retriever loss at epoch 0 on q0::p0::Yes") as exc:
+            train_retriever(model, sets, RetrieverTrainConfig(learning_rate=1e30), 7)
+        assert exc.value.model == "retriever"
 
     def test_rejects_empty_training_set(self):
         model = BiEncoder.init(EncoderConfig(vocab_buckets=64, dim=8), 42)

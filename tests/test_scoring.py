@@ -25,7 +25,6 @@ from demorank.scoring import (
     ScoreCache,
     ScoreRequest,
     relevance_score,
-    resolve_scorer_url,
     score_list,
 )
 
@@ -246,10 +245,10 @@ class TestScoreCache:
     def test_lookup_and_store_with_stats(self):
         cache = ScoreCache()
         assert cache.lookup("k") is None
-        assert cache.stats.misses == 1
+        assert cache.misses == 1
         cache.store("k", LabelDistribution(0.6, 0.4))
         assert cache.lookup("k") == LabelDistribution(0.6, 0.4)
-        assert cache.stats.hits == 1
+        assert cache.hits == 1
         assert len(cache) == 1
 
     def test_save_load_round_trip(self, tmp_path):
@@ -263,6 +262,12 @@ class TestScoreCache:
         fresh.load(tmp_path / "cache.json")
         assert fresh.lookup("a") == LabelDistribution(0.6, 0.4)
         assert fresh.lookup("b") == LabelDistribution(0.1, 0.9)
+
+    def test_entry_beyond_float_range_is_unreadable(self, tmp_path):
+        path = tmp_path / "cache.json"
+        path.write_text('{"k": [1' + "0" * 400 + ', 0]}')
+        with pytest.raises(ValueError, match="not a JSON object of"):
+            ScoreCache().load(path)
 
 
 class CountingScorer:
@@ -288,8 +293,8 @@ class TestCachedScorer:
         assert first == direct
         assert second == direct
         assert backend.calls == 1
-        assert cached.cache.stats.hits == 1
-        assert cached.cache.stats.misses == 1
+        assert cached.cache.hits == 1
+        assert cached.cache.misses == 1
 
     def test_distinct_requests_not_conflated(self):
         cached = CachedScorer(CountingScorer())
@@ -311,7 +316,7 @@ class TestCachedScorer:
         assert first.distribution(req) != other.distribution(req)
         assert same.distribution(req) == first.distribution(req)
         assert oracle.distribution(req) == irrelevant.distribution(req) != first.distribution(req)
-        assert (shared.stats.misses, shared.stats.hits, len(shared)) == (3, 3, 3)
+        assert (shared.misses, shared.hits, len(shared)) == (3, 3, 3)
         urls = {HttpScorer(u).identity() for u in ("http://a:1", "http://a:1/", "http://b:1")}
         assert len(urls) == 2
 
@@ -339,7 +344,7 @@ class TestCachedScorer:
             t.join()
         assert errors == []
         assert len(cached.cache) == len(requests_pool)
-        total = cached.cache.stats.hits + cached.cache.stats.misses
+        total = cached.cache.hits + cached.cache.misses
         assert total == 8 * 50
 
 
@@ -505,6 +510,16 @@ class TestHttpScorer:
         assert Session.posts == 2
         assert isinstance(excinfo.value.__cause__, MalformedResponseError)
 
+    @pytest.mark.parametrize("p", [
+        {"Yes": True, "No": False}, {"Yes": "0.8", "No": "0.2"}, {"Yes": 10 ** 400, "No": 1}])
+    def test_values_that_are_not_json_numbers_are_malformed_and_retried(self, p):
+        with scripted_server([(200, {"p": p})]) as (url, seen):
+            scorer = HttpScorer(url, max_retries=2, backoff_base=0.001)
+            with pytest.raises(BackendUnavailableError) as excinfo:
+                scorer.distribution(request([], "iq", "ip"))
+            assert len(seen) == 2
+        assert isinstance(excinfo.value.__cause__, MalformedResponseError)
+
     @pytest.mark.parametrize("suffix, path", [
         ("", "/v1/score"), ("/", "/v1/score"),
         ("/api", "/api/v1/score"), ("/api/", "/api/v1/score"),
@@ -521,12 +536,10 @@ class TestHttpScorer:
             HttpScorer("http://127.0.0.1:9", max_retries=0)
 
 
-class TestResolveScorerUrl:
-    def test_env_overrides_configured(self, monkeypatch):
-        monkeypatch.setenv("DEMORANK_SCORER_URL", "http://env:1")
-        assert resolve_scorer_url("http://cfg:2") == "http://env:1"
-
-    def test_configured_when_env_unset(self, monkeypatch):
-        monkeypatch.delenv("DEMORANK_SCORER_URL", raising=False)
-        assert resolve_scorer_url("http://cfg:2") == "http://cfg:2"
-        assert resolve_scorer_url(None) is None
+    @pytest.mark.parametrize("endpoint", [
+        "localhost:9", "ftp://h", "http://", "http:///v1", "https://[::1", ""])
+    def test_endpoint_without_http_scheme_and_host_is_refused_when_built(self, endpoint):
+        with pytest.raises(ValueError) as excinfo:
+            HttpScorer(endpoint)
+        assert str(excinfo.value) == (f"scorer endpoint {endpoint!r} is not an "
+                                      "http:// or https:// URL with a host")

@@ -324,8 +324,8 @@ def _score_candidates(s: Session, out: dict[str, Path]) -> str:
     template = s.ws.config.template
     sets = [
         retriever.ScoredCandidateSet(inp, [
-            retriever.ScoredCandidate(d, scoring.score_list(s.backend, template, [d], inp))
-            for d in demos])
+            retriever.ScoredCandidate(d, score) for d, score in
+            zip(demos, scoring.score_lists(s.backend, template, [[d] for d in demos], inp))])
         for inp, demos in mined
     ]
     retriever.write_scored_sets(out["scored.jsonl"], sets)

@@ -22,7 +22,7 @@ from .data import (CorpusError, Dataset, Demonstration, Passage, Query, Training
                    read_lines)
 from .reranker import CrossEncoder, cross_score_batch
 from .retriever import BiEncoder, DenseIndex, EncodingCache, retrieve_topD
-from .scoring import PromptTemplate, ScorerBackend, relevance_score, score_list
+from .scoring import PromptTemplate, ScoreRequest, ScorerBackend, score_list
 
 # Each policy, with the trained models (PolicyContext fields) it reads.
 MODELS_BY_POLICY = {"zero-shot": (), "random": (), "bm25-demos": (),
@@ -129,10 +129,9 @@ def rank_passages_per_input(query: Query, passages: list[Passage], demos_per_pas
                             tag: str = "run") -> list[RunEntry]:
     """Order passages by p(Yes) descending, each scored with its own demo list;
     ties keep the initial order."""
-    scores = [
-        relevance_score(backend, template, demos, query, p)
-        for p, demos in zip(passages, demos_per_passage)
-    ]
+    requests = [ScoreRequest(template, tuple(demos), query.text, p.text)
+                for p, demos in zip(passages, demos_per_passage)]
+    scores = [d.p_yes for d in backend.distributions(requests)]
     order = sorted(range(len(passages)), key=lambda i: (-scores[i], i))
     return [
         RunEntry(query.id, passages[i].id, pos + 1, scores[i], tag)

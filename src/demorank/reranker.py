@@ -38,7 +38,7 @@ from .retriever import (
 # encode_feats stays importable from this module, as perfbench/spans.py
 # (which wraps every module alias) expects.
 from .retriever import encode_feats  # noqa: F401
-from .scoring import PromptTemplate, ScorerBackend, score_list
+from .scoring import PromptTemplate, ScorerBackend, score_lists
 
 logger = logging.getLogger(__name__)
 
@@ -276,7 +276,7 @@ def construct_samples(input: TrainingInput, retrieved: list[Demonstration],
     unselected = list(retrieved)
     samples = []
     for _ in range(iterations):
-        scores = [score_list(backend, template, prefix + [z], input) for z in unselected]
+        scores = score_lists(backend, template, [prefix + [z] for z in unselected], input)
         order = sorted(range(len(unselected)), key=lambda i: (-scores[i], i))
         ranks = [0] * len(unselected)
         for pos, i in enumerate(order):

@@ -6,6 +6,10 @@ Two backends ship: a deterministic mock built on token overlap, used for all
 tests and desk experiments, and an HTTP client for a real model server.  The
 HTTP client imports `requests` when it is built, so a process that only uses
 the mock never loads it.
+
+Backends score a batch with `distributions(requests)`, in request order: the
+mock loops, and the HTTP client sends up to `max_in_flight` requests at once
+from a thread pool, which it too loads only when it is built.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import logging
 import random
 import threading
 import time
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import sha256
@@ -131,7 +136,9 @@ class LabelDistribution:
 
 
 class ScorerBackend(Protocol):
-    def distribution(self, request: ScoreRequest) -> LabelDistribution: ...
+    def distributions(self, requests: Sequence[ScoreRequest]) -> Iterable[LabelDistribution]:
+        """One distribution per request, yielded in request order, so a caller
+        that keeps each as it arrives keeps those before a failed one."""
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +233,9 @@ class MockScorer:
         p_yes = _sigmoid(w.raw_scale * raw + w.offset + w.relevance * tr * overlap)
         return LabelDistribution(p_yes, 1.0 - p_yes)
 
+    def distributions(self, requests: Sequence[ScoreRequest]) -> list[LabelDistribution]:
+        return [self.distribution(r) for r in requests]
+
 
 # ---------------------------------------------------------------------------
 # HTTP backend
@@ -243,7 +253,9 @@ class HttpScorer:
     backoff plus jitter, logging each retry at WARNING; after `max_retries`
     attempts raises BackendUnavailableError.  Any other 4xx status raises
     BackendError at once, since resending the same request cannot fix it.
-    A semaphore bounds in-flight requests.
+    `distributions` runs `distribution` for a batch on a pool of
+    `max_in_flight` threads, which share one session whose connection pool
+    holds as many connections, and yields the results in request order.
     """
 
     def __init__(self, base_url: str, timeout: float = 10.0, max_retries: int = 3,
@@ -258,15 +270,24 @@ class HttpScorer:
         except ValueError:
             raise ValueError(f"scorer endpoint {base_url!r} is not an http:// or "
                              "https:// URL with a host") from None
+        from concurrent.futures import ThreadPoolExecutor
+
         import requests
+        from requests.adapters import HTTPAdapter
 
         # /v1/score joins the path; the query stays
         self.url = urlunsplit(parts._replace(path=parts.path.rstrip("/") + SCORE_PATH))
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff_base = backoff_base
-        self._session = session or requests.Session()
-        self._gate = threading.Semaphore(max_in_flight)
+        if session is None:
+            session = requests.Session()
+            # the default adapter keeps 10 connections and drops the rest
+            adapter = HTTPAdapter(pool_maxsize=max_in_flight)
+            session.mount("http://", adapter)
+            session.mount("https://", adapter)
+        self._session = session
+        self._pool = ThreadPoolExecutor(max_in_flight, thread_name_prefix="scorer")
 
     def identity(self) -> str:
         return f"http {self.url}"
@@ -290,8 +311,7 @@ class HttpScorer:
                                self.url, attempt, self.max_retries, cause)
                 time.sleep(delay + random.uniform(0, 0.1 * delay))
             try:
-                with self._gate:
-                    resp = self._session.post(self.url, json=request.body(), timeout=self.timeout)
+                resp = self._session.post(self.url, json=request.body(), timeout=self.timeout)
                 status = resp.status_code
                 if 400 <= status < 500 and status not in RETRYABLE_4XX:
                     raise BackendError(
@@ -309,6 +329,20 @@ class HttpScorer:
             f"scorer at {self.url} failed after {self.max_retries} attempts "
             f"(query={request.input_query[:60]!r}): {last_err}"
         ) from last_err
+
+    def distributions(self, requests: Sequence[ScoreRequest]) -> Iterator[LabelDistribution]:
+        from concurrent.futures import wait  # loaded by __init__
+
+        futures = [self._pool.submit(self.distribution, r) for r in requests]
+        try:
+            for future in futures:
+                yield future.result()
+        finally:
+            # After a failure, send nothing more: drop the requests that have
+            # not started and let the ones in flight end before raising.
+            for future in futures:
+                future.cancel()
+            wait(futures)
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +409,28 @@ class CachedScorer:
         self._scope = sha256(identity.encode("utf-8")).hexdigest()[:16] + ":"
 
     def distribution(self, request: ScoreRequest) -> LabelDistribution:
-        key = self._scope + request.digest()
-        dist = self.cache.lookup(key)
-        if dist is None:
-            dist = self.backend.distribution(request)
-            self.cache.store(key, dist)
-        return dist
+        return self.distributions([request])[0]
+
+    def distributions(self, requests: Sequence[ScoreRequest]) -> list[LabelDistribution]:
+        """Looks up each distinct key once, sends the backend each miss once in
+        first-seen order, and stores each result as it arrives, so the cache
+        holds the same entries in the same order as one request at a time, and
+        keeps every result that came before a backend failure."""
+        keys = [self._scope + r.digest() for r in requests]
+        found: dict[str, LabelDistribution] = {}
+        missing: dict[str, ScoreRequest] = {}
+        for key, request in zip(keys, requests):
+            if key not in found and key not in missing:
+                dist = self.cache.lookup(key)
+                if dist is None:
+                    missing[key] = request
+                else:
+                    found[key] = dist
+        if missing:
+            for key, dist in zip(missing, self.backend.distributions(list(missing.values()))):
+                self.cache.store(key, dist)
+                found[key] = dist
+        return [found[key] for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +440,12 @@ class CachedScorer:
 def score_list(backend: ScorerBackend, template: PromptTemplate,
                demos, input: TrainingInput) -> float:
     """Normalized probability of the input's gold label given the demo list."""
-    request = ScoreRequest(template, tuple(demos), input.query.text, input.passage.text)
-    return backend.distribution(request).p(input.gold)
+    return score_lists(backend, template, [demos], input)[0]
 
 
-def relevance_score(backend: ScorerBackend, template: PromptTemplate,
-                    demos, query, passage) -> float:
-    """Probability of Yes for a test pair; the ranking score."""
-    request = ScoreRequest(template, tuple(demos), query.text, passage.text)
-    return backend.distribution(request).p_yes
+def score_lists(backend: ScorerBackend, template: PromptTemplate,
+                demo_lists, input: TrainingInput) -> list[float]:
+    """`score_list` for each demo list, sent to the backend as one batch."""
+    requests = [ScoreRequest(template, tuple(demos), input.query.text, input.passage.text)
+                for demos in demo_lists]
+    return [d.p(input.gold) for d in backend.distributions(requests)]

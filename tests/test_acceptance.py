@@ -138,6 +138,9 @@ class CountingScorer:
         self.calls += 1
         return self.backend.distribution(request)
 
+    def distributions(self, requests):
+        return [self.distribution(r) for r in requests]
+
 
 def relative_error(analytic: float, fd: float) -> float:
     return abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-6)

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from demorank import cli
 from demorank.cli import DATA_KEYS, main
 from demorank.config import load_config
 from demorank.pipeline import POLICIES, load_run
+from test_scoring import answering_server
 
 TOY_CONFIG = {
     "data": {"topics": 4, "vocab": 60, "train_queries": 12, "test_queries": 4,
@@ -527,6 +529,46 @@ class TestScoreCache:
             capsys.readouterr().out.splitlines()[-1]).groups())
         assert hits == scores > 0
 
+    def test_failed_http_batch_keeps_the_scores_before_the_failure(
+            self, tmp_path, capsys, monkeypatch):
+        """A scorer failure loses no score returned for an earlier request, and
+        a rerun sends only the requests the cache does not hold."""
+        fail = set()
+
+        def answer(body):
+            digest = sha256(json.dumps(body).encode("utf-8")).hexdigest()
+            if digest in fail:
+                return 503, {}
+            return 200, {"p": {"Yes": 1 + int(digest[:2], 16), "No": 256}}
+
+        with answering_server(answer) as (url, state):
+            monkeypatch.setenv("DEMORANK_SCORER_URL", url)
+            config_path = write_config(tmp_path, {"scorer": {
+                "backend": "http", "max_retries": 1, "max_in_flight": 2}})
+            workdir = tmp_path / "work"
+            build_chain(config_path, workdir, upto="mine-candidates")
+            healthy, cache = tmp_path / "healthy.cache", tmp_path / "scores.cache"
+            assert run_cli(config_path, workdir, "score-candidates",
+                           global_args=("--score-cache", str(healthy))) == 0
+            scored = (workdir / "scored.jsonl").read_bytes()
+            paid = json.loads(healthy.read_text())  # keys in request order
+            keys = list(paid)
+            cut = len(keys) // 2
+            fail.add(keys[cut].split(":")[1])
+            assert run_cli(config_path, workdir, "score-candidates",
+                           global_args=("--force", "--score-cache", str(cache))) == 4
+            assert "backend error" in capsys.readouterr().err
+            assert json.loads(cache.read_text()) == {k: paid[k] for k in keys[:cut]}
+            fail.clear()
+            state.seen.clear()
+            assert run_cli(config_path, workdir, "score-candidates",
+                           global_args=("--force", "--score-cache", str(cache))) == 0
+            sent = sorted(sha256(json.dumps(body).encode("utf-8")).hexdigest()
+                          for _, body in state.seen)
+        assert sent == sorted(k.split(":")[1] for k in keys[cut:])
+        assert cache.read_bytes() == healthy.read_bytes()
+        assert (workdir / "scored.jsonl").read_bytes() == scored
+
     @pytest.mark.parametrize("content", [
         "{bad", '{"x": 1}', "[]", '{"x": [2.0, -1.0]}', '{"x": [true, false]}',
         '{"x": ["0.25", "0.75"]}', '{"x": {"0.25": 1, "0.75": 2}}', '{"x": "01"}'])
@@ -593,3 +635,23 @@ class TestImportWeight:
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "work" / "scored.jsonl").exists()
         assert result.stdout.splitlines()[-1] == "[]"
+
+    def test_mock_scoring_starts_no_thread(self, tmp_path):
+        """The mock scores a batch in the calling thread; only the HTTP scorer
+        builds a thread pool."""
+        script = "\n".join([
+            "import sys, threading",
+            "import demorank.cli",
+            "for command in ('build-pool', 'mine-candidates', 'score-candidates'):",
+            "    argv = ['--config', sys.argv[1], '--workdir', sys.argv[2], command]",
+            "    assert demorank.cli.main(argv) == 0, command",
+            "print(threading.active_count(), 'concurrent.futures' in sys.modules)",
+        ])
+        src = Path(demorank.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(write_config(tmp_path)), str(tmp_path / "work")],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "work" / "scored.jsonl").exists()
+        assert result.stdout.splitlines()[-1] == "1 False"

@@ -39,7 +39,8 @@ from demorank.pipeline import (
 )
 from demorank.reranker import CrossEncoder
 from demorank.retriever import BiEncoder, DenseIndex, EncoderConfig
-from demorank.scoring import LabelDistribution, MockScorer, PromptTemplate, score_list
+from demorank.scoring import (LabelDistribution, MockScorer, PromptTemplate, ScoreRequest,
+                              score_list)
 from demorank.synth import SynthParams, generate_synthetic_dataset
 
 WORDS = [
@@ -69,6 +70,9 @@ class ConstScorer:
 
     def distribution(self, request) -> LabelDistribution:
         return LabelDistribution(0.5, 0.5)
+
+    def distributions(self, requests):
+        return [self.distribution(r) for r in requests]
 
 
 class TestNdcg:
@@ -267,6 +271,12 @@ class TestRankPassages:
         assert [e.passage_id for e in entries] == ["p2", "p1"]
         assert [e.rank for e in entries] == [1, 2]
         assert entries[0].score > entries[1].score
+
+    def test_score_is_p_yes(self):
+        entries = rank_passages(Query("q", "alpha"), [Passage("p", "beta")], [],
+                                MockScorer(), PromptTemplate())
+        assert entries[0].score == MockScorer().distribution(
+            ScoreRequest(PromptTemplate(), (), "alpha", "beta")).p_yes
 
     def test_tied_scores_keep_initial_order(self):
         query = Query("q1", "coral reef")

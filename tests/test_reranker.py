@@ -86,6 +86,9 @@ class CountingScorer:
         self.calls += 1
         return self.backend.distribution(request)
 
+    def distributions(self, requests):
+        return [self.distribution(r) for r in requests]
+
 
 class TestCrossEncoderInit:
     def test_shapes(self):

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import threading
+import time
 from hashlib import sha256
 from types import SimpleNamespace
 
@@ -24,7 +25,6 @@ from demorank.scoring import (
     PromptTemplate,
     ScoreCache,
     ScoreRequest,
-    relevance_score,
     score_list,
 )
 
@@ -234,12 +234,6 @@ class TestScoringEntryPoints:
         assert p_yes == pytest.approx(sigmoid(0.5), abs=1e-12)
         assert p_no == pytest.approx(1.0 - sigmoid(0.5), abs=1e-12)
 
-    def test_relevance_score_is_p_yes(self):
-        scorer = MockScorer()
-        got = relevance_score(scorer, PromptTemplate(), [],
-                              Query("q", "alpha"), Passage("p", "beta"))
-        assert got == pytest.approx(sigmoid(-1.0), abs=1e-12)
-
 
 class TestScoreCache:
     def test_lookup_and_store_with_stats(self):
@@ -280,6 +274,21 @@ class CountingScorer:
     def distribution(self, req):
         self.calls += 1
         return self.inner.distribution(req)
+
+    def distributions(self, reqs):
+        return [self.distribution(r) for r in reqs]
+
+
+class BatchRecorder:
+    """Wraps MockScorer and records each batch `distributions` receives."""
+
+    def __init__(self):
+        self.inner = MockScorer()
+        self.batches = []
+
+    def distributions(self, reqs):
+        self.batches.append(list(reqs))
+        return self.inner.distributions(reqs)
 
 
 class TestCachedScorer:
@@ -347,16 +356,56 @@ class TestCachedScorer:
         total = cached.cache.hits + cached.cache.misses
         assert total == 8 * 50
 
+    def test_batch_sends_each_distinct_miss_once_in_first_seen_order(self, tmp_path):
+        backend = BatchRecorder()
+        cached = CachedScorer(backend)
+        a, b, c = (request([], f"query {x}", f"passage {x}") for x in "abc")
+        cached.distributions([c])
+        batch = [a, c, b, a]
+        got = cached.distributions(batch)
+        assert got == [backend.inner.distribution(r) for r in batch]
+        assert backend.batches == [[c], [a, b]]
+        # c missed, then a missed, c hit and b missed; the repeated a is not looked up
+        assert (cached.cache.hits, cached.cache.misses) == (1, 3)
+        assert cached.distributions(batch) == got
+        assert len(backend.batches) == 2  # all hits: no backend call
+        cached.cache.save(tmp_path / "batch.json")
+        one_by_one = CachedScorer(BatchRecorder())
+        for req in [c] + batch:
+            one_by_one.distribution(req)
+        one_by_one.cache.save(tmp_path / "one_by_one.json")
+        assert (tmp_path / "batch.json").read_bytes() == \
+            (tmp_path / "one_by_one.json").read_bytes()
+
+    def test_batch_keeps_the_results_before_a_backend_failure(self):
+        class FailsThird(BatchRecorder):
+            def distributions(self, reqs):
+                for i, req in enumerate(reqs):
+                    if i == 2:
+                        raise BackendUnavailableError("down")
+                    yield self.inner.distribution(req)
+
+        cached = CachedScorer(FailsThird())
+        batch = [request([], f"query {i}", f"passage {i}") for i in range(4)]
+        with pytest.raises(BackendUnavailableError):
+            cached.distributions(batch)
+        assert len(cached.cache) == 2
+        cached.backend = MockScorer()
+        assert cached.distributions(batch[:2]) == cached.backend.distributions(batch[:2])
+        assert cached.cache.hits == 2
+
 
 @contextlib.contextmanager
-def scripted_server(script):
-    """Local HTTP server answering POSTs from a list of (status, body) pairs.
+def answering_server(answer, delay_s=0.0):
+    """Local threaded HTTP server answering each POST with `answer(body)`, a
+    (status, payload) pair, after `delay_s` seconds.
 
-    The last entry repeats once the script is exhausted.  Yields the base URL
-    and the list of (path, parsed body) requests seen.
+    Yields the base URL and a namespace holding `seen`, the list of
+    (path, parsed body) requests received, and `peak`, the most requests it
+    served at once.
     """
-    seen = []
-    remaining = list(script)
+    state = SimpleNamespace(seen=[], in_flight=0, peak=0)
+    lock = threading.Lock()
 
     class Handler(http.server.BaseHTTPRequestHandler):
         def do_POST(self):
@@ -366,9 +415,14 @@ def scripted_server(script):
                 body = json.loads(raw)
             except ValueError:
                 body = None
-            seen.append((self.path, body))
-            status, payload = (remaining.pop(0) if len(remaining) > 1
-                               else remaining[0])
+            with lock:
+                state.seen.append((self.path, body))
+                state.in_flight += 1
+                state.peak = max(state.peak, state.in_flight)
+                status, payload = answer(body)
+            time.sleep(delay_s)
+            with lock:
+                state.in_flight -= 1
             data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
@@ -383,11 +437,27 @@ def scripted_server(script):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        yield f"http://127.0.0.1:{server.server_address[1]}", seen
+        yield f"http://127.0.0.1:{server.server_address[1]}", state
     finally:
         server.shutdown()
         server.server_close()
         thread.join()
+
+
+@contextlib.contextmanager
+def scripted_server(script):
+    """`answering_server` that answers from a list of (status, body) pairs.
+
+    The last entry repeats once the script is exhausted.  Yields the base URL
+    and the list of (path, parsed body) requests seen.
+    """
+    remaining = list(script)
+
+    def answer(body):
+        return remaining.pop(0) if len(remaining) > 1 else remaining[0]
+
+    with answering_server(answer) as (url, state):
+        yield url, state.seen
 
 
 class TestHttpScorer:
@@ -530,6 +600,40 @@ class TestHttpScorer:
             scorer.distribution(request([], "iq", "ip"))
         assert scorer.identity() == f"http {url}{path}"
         assert [p for p, _ in seen] == [path]
+
+    def test_batch_is_answered_in_request_order_at_most_max_in_flight_at_once(self):
+        reqs = [request([], f"query {i}", f"passage {i}") for i in range(8)]
+
+        def answer(body):
+            i = int(body["input"]["query"].split()[1])
+            return 200, {"p": {"Yes": i + 1, "No": 8 - i}}
+
+        with answering_server(answer, delay_s=0.02) as (url, state):
+            scorer = HttpScorer(url, max_retries=1, max_in_flight=2)
+            got = list(scorer.distributions(reqs))
+            assert state.peak == 2
+            bodies = sorted(json.dumps(body) for _, body in state.seen)
+            assert bodies == sorted(json.dumps(r.body()) for r in reqs)
+            assert list(scorer.distributions(reqs[3:4])) == [scorer.distribution(reqs[3])]
+        assert got == [LabelDistribution.from_unnormalized(i + 1, 8 - i) for i in range(8)]
+
+    def test_connection_pool_holds_max_in_flight_connections(self, caplog):
+        reqs = [request([], f"query {i}", f"passage {i}") for i in range(24)]
+        answer = lambda body: (200, {"p": {"Yes": 1, "No": 1}})  # noqa: E731
+        with answering_server(answer, delay_s=0.02) as (url, state):
+            scorer = HttpScorer(url, max_retries=1, max_in_flight=12)
+            with caplog.at_level("WARNING", logger="urllib3"):
+                assert len(list(scorer.distributions(reqs))) == 24
+            assert state.peak == 12
+        assert not [r for r in caplog.records if "pool is full" in r.getMessage()]
+
+    def test_injected_session_keeps_its_adapters(self):
+        import requests
+
+        session = requests.Session()
+        adapters = dict(session.adapters)
+        HttpScorer("http://scorer", max_in_flight=12, session=session)
+        assert session.adapters == adapters
 
     def test_max_retries_validated(self):
         with pytest.raises(ValueError):

@@ -80,14 +80,15 @@ def bm25_search(index: InvertedIndex, params: Bm25Params, query_text: str,
     """Top documents for a query as (ordinal, score), ties by ascending ordinal.
 
     Only documents sharing at least one term with the query are returned, so
-    the result may be shorter than `top`.  Duplicate query terms count once.
+    the result may be shorter than `top`.  Duplicate query terms count once,
+    and terms are summed in sorted order, so no score depends on the hash seed.
     """
     if index.doc_count == 0:
         raise EmptyIndexError("cannot search an empty index")
     n = index.doc_count
     avgdl = index.avg_doc_length or 1.0
     scores: dict[int, float] = {}
-    for term in set(tokenize(query_text)):
+    for term in sorted(set(tokenize(query_text))):
         plist = index.postings.get(term)
         if not plist:
             continue

@@ -1,19 +1,22 @@
 """Command-line pipeline driver.
 
-The pipeline is a table of stages (`stages()`): each names the artifacts it
-reads, the files it writes and a function that builds them.  One runner,
-`run_stage`, checks every input (present, and produced under the current
-config digest with the content its producer's manifest records, from
+The pipeline is a table of stages (`stages(config)`): each names every
+artifact it reads, the files it writes and a function that builds them.  The
+stages that call the mock scorer of synthetic data also read the files of its
+ground-truth oracle.  One `Workspace` per command holds the paths, the
+freshness checks, and the artifacts and scorer loaded on first use.  One
+runner, `run_stage`, checks every input (present, and produced under the
+current config digest with the content its producer's manifest records, from
 upstream files that still match that manifest), skips the stage when its own
 manifest still matches (unless --force), builds the outputs under temp names,
 renames them into place and writes the stage's manifest: the config digest
 and the SHA-256 of everything the stage read and wrote.
 
-A command runs its stages in table order.  `build-pool` first runs the `data`
-stage, which writes the synthetic dataset under `data/` with its own manifest
-(`manifests/data.manifest.json`); `rank` and `evaluate` run one stage per
-policy (`rank-<policy>`, `evaluate-<policy>`), so a run file or report that
-changed since it was written is caught like any other stale artifact.
+A command runs its stages in table order.  For synthetic data `build-pool`
+first runs the `data` stage, which writes the dataset under `data/` with its
+own manifest; `rank` and `evaluate` run one stage per policy (`rank-<policy>`,
+`evaluate-<policy>`), so a run file or report that changed since it was
+written is caught like any other stale artifact.
 
 Exit codes: 0 success, 2 configuration error (an unusable --workdir or
 --score-cache, a scorer endpoint that is not an http(s) URL, and a training
@@ -29,7 +32,6 @@ import json
 import logging
 import os
 import sys
-import time
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
 from hashlib import sha256
@@ -75,24 +77,36 @@ def atomic_produce(path: Path, producer) -> None:
     os.replace(tmp, path)
 
 
+def _oracle(config: ExperimentConfig) -> tuple[str, ...]:
+    """The files the mock scorer's ground-truth oracle reads; only synthetic data has one."""
+    synthetic_mock = config.data.source == "synthetic" and config.scorer.backend == "mock"
+    return ("topics", *DATA_KEYS) if synthetic_mock else ()
+
+
 class Workspace:
-    def __init__(self, workdir: Path, config: ExperimentConfig, config_dir: Path):
+    """One command's artifact paths and freshness checks, and the artifacts
+    and scorer, each loaded when a stage first uses it.  Stages read only what
+    `run_stage` has required, so loading from `path` is safe."""
+
+    def __init__(self, workdir: Path, config: ExperimentConfig, config_dir: Path,
+                 policies=pipeline.POLICIES, score_cache: Path | None = None):
         self.root = workdir
         self.config = config
         self.digest = config.digest()
-        synthetic = config.data.source == "synthetic"
-        # Dataset files from outside the workdir: no stage produces them.
-        self.external = {} if synthetic else {
-            key: config_dir / getattr(config.data, f"{key}_path") for key in DATA_KEYS}
-        # The mock scorer's ground-truth oracle reads the topics and both splits.
-        self.oracle = (("topics", *DATA_KEYS)
-                       if synthetic and config.scorer.backend == "mock" else ())
+        self.score_cache = score_cache
+        self.stages = stages(config, policies)
+        # artifact -> the stage that produces it
+        self.producers = {rel: stage for stage in self.stages for rel in stage.outputs}
+        # Dataset files that no stage writes are read from the config's paths.
+        self.external = {key: config_dir / getattr(config.data, f"{key}_path")
+                         for key in DATA_KEYS if key not in self.producers}
         for sub in ("manifests", "data", "runs", "reports"):
             (self.root / sub).mkdir(parents=True, exist_ok=True)
         self.hashes: dict[Path, str] = {}  # file -> SHA-256, for this command
         # stage -> its manifest, once `_check` has walked the manifest's inputs;
         # cleared whenever a manifest is written
         self.vouched: dict[str, dict] = {}
+        self.models: dict[str, object] = {}
 
     def path(self, rel: str) -> Path:
         return self.external.get(rel) or self.root / DATA_FILES.get(rel, rel)
@@ -150,7 +164,7 @@ class Workspace:
         from the upstream files now on disk.  Returns its SHA-256."""
         p = self.path(rel)
         if not p.exists():
-            stage = None if rel in self.external else PRODUCERS.get(rel)
+            stage = self.producers.get(rel)
             hint = f"; run '{stage.command}' first" if stage else ""
             raise ArtifactError(f"missing {p}{hint}")
         return self._check(rel)
@@ -162,7 +176,7 @@ class Workspace:
         its own inputs and their manifests.  Each producer's manifest is read
         and its upstream walked once, however many of its outputs are checked."""
         digest = self.hash(self.path(rel))
-        stage = None if rel in self.external else PRODUCERS.get(rel)
+        stage = self.producers.get(rel)
         if stage:
             rerun = f"rerun '{stage.command}'"
             manifest = self.vouched.get(stage.name) or self.read_manifest(stage.name)
@@ -185,25 +199,8 @@ class Workspace:
                 self.vouched[stage.name] = manifest
         return digest
 
-
-# ---------------------------------------------------------------------------
-# What the stages of one command share
-
-
-class Session:
-    """Artifacts and the scorer, each loaded once per command when first used.
-
-    Stages read only what `run_stage` has required, so loading from
-    `ws.path` is safe here.
-    """
-
-    def __init__(self, ws: Workspace, score_cache: Path | None):
-        self.ws = ws
-        self.score_cache = score_cache
-        self.models: dict[str, object] = {}
-
     def _split(self, split: str) -> data.Dataset:
-        return data.load_dataset(*(self.ws.path(f"{split}_{kind}")
+        return data.load_dataset(*(self.path(f"{split}_{kind}")
                                    for kind in ("queries", "passages", "qrels")), split)
 
     @cached_property
@@ -216,28 +213,28 @@ class Session:
 
     @cached_property
     def pool(self) -> list[data.Demonstration]:
-        return data.load_pool(self.ws.path("pool.jsonl"))
+        return data.load_pool(self.path("pool.jsonl"))
 
     @cached_property
     def training_inputs(self) -> list[data.TrainingInput]:
-        return data.load_training_inputs(self.ws.path("training_inputs.jsonl"))
+        return data.load_training_inputs(self.path("training_inputs.jsonl"))
 
     def model(self, name: str):
         """The trained "retriever" or "reranker", read from `<name>.ckpt`."""
         if name not in self.models:
             load = {"retriever": checkpoint.load_retriever,
                     "reranker": checkpoint.load_reranker}[name]
-            self.models[name] = read_artifact(self.ws.path(f"{name}.ckpt"), load,
+            self.models[name] = read_artifact(self.path(f"{name}.ckpt"), load,
                                               "checkpoint")[0]
         return self.models[name]
 
     @cached_property
     def backend(self) -> scoring.CachedScorer:
-        sc = self.ws.config.scorer
+        sc = self.config.scorer
         if sc.backend == "mock":
             oracle = None
-            if self.ws.oracle:
-                q_topics, p_topics = read_artifact(self.ws.path("topics"),
+            if _oracle(self.config):
+                q_topics, p_topics = read_artifact(self.path("topics"),
                                                    synth.load_topics, "topics")
                 oracle = synth.relevance_fn_from_files(q_topics, p_topics,
                                                        [self.train, self.test])
@@ -277,8 +274,8 @@ class Session:
 # returns the status line.
 
 
-def _build_data(s: Session, out: dict[str, Path]) -> str:
-    generated = synth.generate_synthetic_dataset(s.ws.config.data, s.ws.config.seeds.data)
+def _build_data(ws: Workspace, out: dict[str, Path]) -> str:
+    generated = synth.generate_synthetic_dataset(ws.config.data, ws.config.seeds.data)
     for split, ds in (("train", generated.train), ("test", generated.test)):
         data.write_jsonl_texts(out[f"{split}_queries"], ds.queries)
         data.write_jsonl_texts(out[f"{split}_passages"], ds.passages)
@@ -288,10 +285,10 @@ def _build_data(s: Session, out: dict[str, Path]) -> str:
             f"{len(generated.test.queries)} test queries")
 
 
-def _build_pool(s: Session, out: dict[str, Path]) -> str:
-    seeds = s.ws.config.seeds
-    pool = data.build_pool(s.train, seeds.pool)
-    training_inputs, report = data.build_training_inputs(s.train, seeds.training_inputs)
+def _build_pool(ws: Workspace, out: dict[str, Path]) -> str:
+    seeds = ws.config.seeds
+    pool = data.build_pool(ws.train, seeds.pool)
+    training_inputs, report = data.build_training_inputs(ws.train, seeds.training_inputs)
     data.write_pool(out["pool.jsonl"], pool)
     data.write_training_inputs(out["training_inputs.jsonl"], training_inputs)
     out["training_inputs.report.json"].write_text(
@@ -300,16 +297,16 @@ def _build_pool(s: Session, out: dict[str, Path]) -> str:
             f"({len(report.skipped)} queries skipped)")
 
 
-def _mine_candidates(s: Session, out: dict[str, Path]) -> str:
-    cfg = s.ws.config
-    index = bm25.build_pool_index(s.pool)
+def _mine_candidates(ws: Workspace, out: dict[str, Path]) -> str:
+    cfg = ws.config
+    index = bm25.build_pool_index(ws.pool)
     b = cfg.retriever.candidates_b
     data.write_jsonl(out["candidates.jsonl"], ({
         "input_id": inp.input_id,
         "demo_refs": [list(d.ref) for d in bm25.mine_candidates(
-            s.pool, index, inp, b, cfg.seeds.mining + ordinal, cfg.bm25)],
-    } for ordinal, inp in enumerate(s.training_inputs)))
-    return f"{len(s.training_inputs)} inputs x {2 * b} candidates"
+            ws.pool, index, inp, b, cfg.seeds.mining + ordinal, cfg.bm25)],
+    } for ordinal, inp in enumerate(ws.training_inputs)))
+    return f"{len(ws.training_inputs)} inputs x {2 * b} candidates"
 
 
 def _load_candidates(path: Path, training_inputs, pool):
@@ -319,85 +316,84 @@ def _load_candidates(path: Path, training_inputs, pool):
                            "candidates record")
 
 
-def _score_candidates(s: Session, out: dict[str, Path]) -> str:
-    mined = _load_candidates(s.ws.path("candidates.jsonl"), s.training_inputs, s.pool)
-    template = s.ws.config.template
+def _score_candidates(ws: Workspace, out: dict[str, Path]) -> str:
+    mined = _load_candidates(ws.path("candidates.jsonl"), ws.training_inputs, ws.pool)
+    template = ws.config.template
     sets = [
         retriever.ScoredCandidateSet(inp, [
             retriever.ScoredCandidate(d, score) for d, score in
-            zip(demos, scoring.score_lists(s.backend, template, [[d] for d in demos], inp))])
+            zip(demos, scoring.score_lists(ws.backend, template, [[d] for d in demos], inp))])
         for inp, demos in mined
     ]
     retriever.write_scored_sets(out["scored.jsonl"], sets)
     return (f"{sum(len(c.candidates) for c in sets)} scores "
-            f"({s.backend.cache.hits} cache hits)")
+            f"({ws.backend.cache.hits} cache hits)")
 
 
-def _train_retriever(s: Session, out: dict[str, Path]) -> str:
-    cfg = s.ws.config
-    sets = retriever.load_scored_sets(s.ws.path("scored.jsonl"), s.training_inputs, s.pool)
+def _train_retriever(ws: Workspace, out: dict[str, Path]) -> str:
+    cfg = ws.config
+    sets = retriever.load_scored_sets(ws.path("scored.jsonl"), ws.training_inputs, ws.pool)
     model = retriever.BiEncoder.init(cfg.encoder, cfg.seeds.retriever_init)
     trained = retriever.train_retriever(model, sets, cfg.retriever, cfg.seeds.retriever_train)
-    checkpoint.save_retriever(out["retriever.ckpt"], trained, s.ws.digest)
+    checkpoint.save_retriever(out["retriever.ckpt"], trained, ws.digest)
     return f"{len(sets)} sets, {cfg.retriever.epochs} epochs"
 
 
-def _build_samples(s: Session, out: dict[str, Path]) -> str:
-    cfg = s.ws.config
-    if cfg.reranker.iterations > len(s.pool):
+def _build_samples(ws: Workspace, out: dict[str, Path]) -> str:
+    cfg = ws.config
+    if cfg.reranker.iterations > len(ws.pool):
         raise ConfigError(f"reranker.iterations is {cfg.reranker.iterations} but the pool "
-                          f"has {len(s.pool)} demos; lower it or build a larger pool")
-    m = min(cfg.reranker.retrieve_m, len(s.pool))
-    model = s.model("retriever")
-    index = retriever.DenseIndex.build(model, s.pool)
-    retrieved = [retriever.retrieve_topD(index, model, inp, m) for inp in s.training_inputs]
+                          f"has {len(ws.pool)} demos; lower it or build a larger pool")
+    m = min(cfg.reranker.retrieve_m, len(ws.pool))
+    model = ws.model("retriever")
+    index = retriever.DenseIndex.build(model, ws.pool)
+    retrieved = [retriever.retrieve_topD(index, model, inp, m) for inp in ws.training_inputs]
     samples = reranker.construct_samples_for_corpus(
-        s.training_inputs, retrieved, s.backend, cfg.template,
+        ws.training_inputs, retrieved, ws.backend, cfg.template,
         cfg.reranker.iterations, cfg.seeds.sampling, cfg.reranker.trajectories)
     reranker.write_samples(out["samples.jsonl"], samples)
-    return f"{len(samples)} samples from {len(s.training_inputs)} inputs"
+    return f"{len(samples)} samples from {len(ws.training_inputs)} inputs"
 
 
-def _train_reranker(s: Session, out: dict[str, Path]) -> str:
-    cfg = s.ws.config
-    samples = reranker.load_samples(s.ws.path("samples.jsonl"), s.training_inputs, s.pool)
+def _train_reranker(ws: Workspace, out: dict[str, Path]) -> str:
+    cfg = ws.config
+    samples = reranker.load_samples(ws.path("samples.jsonl"), ws.training_inputs, ws.pool)
     model = reranker.CrossEncoder.init(cfg.encoder, cfg.encoder.hidden, cfg.seeds.reranker_init)
     trained = reranker.train_reranker(model, samples, cfg.reranker, cfg.seeds.reranker_train)
-    checkpoint.save_reranker(out["reranker.ckpt"], trained, s.ws.digest)
+    checkpoint.save_reranker(out["reranker.ckpt"], trained, ws.digest)
     return f"{len(samples)} samples, {cfg.reranker.epochs} epochs"
 
 
-def _rank(policy: str, s: Session, out: dict[str, Path]) -> str:
-    cfg = s.ws.config
+def _rank(policy: str, ws: Workspace, out: dict[str, Path]) -> str:
+    cfg = ws.config
     sel = cfg.selection
     ctx = pipeline.PolicyContext(
-        pool=s.pool, backend=s.backend, template=cfg.template,
+        pool=ws.pool, backend=ws.backend, template=cfg.template,
         bm25_params=cfg.bm25, shots=sel.shots, retrieve_d=sel.retrieve_d,
         per_query_selection=sel.per_query, seed=cfg.seeds.policy,
-        **{name: s.model(name) for name in pipeline.MODELS_BY_POLICY[policy]},
+        **{name: ws.model(name) for name in pipeline.MODELS_BY_POLICY[policy]},
     )
-    _, entries = pipeline.run_policy(policy, s.test, ctx, s.ws.digest)
+    _, entries = pipeline.run_policy(policy, ws.test, ctx, ws.digest)
     pipeline.write_run(out[f"runs/{policy}.run"], entries)
     return f"{len(entries)} entries"
 
 
-def _evaluate(policy: str, s: Session, out: dict[str, Path]) -> str:
-    start = time.monotonic()
-    entries = pipeline.load_run(s.ws.path(f"runs/{policy}.run"))
-    per_query, mean, excluded = pipeline.evaluate_run(entries, s.test.judgments_by_query())
-    report = pipeline.EvalReport(policy, s.ws.config.selection.shots, mean, per_query,
-                                 excluded, s.ws.digest, time.monotonic() - start)
+def _evaluate(policy: str, ws: Workspace, out: dict[str, Path]) -> str:
+    entries = pipeline.load_run(ws.path(f"runs/{policy}.run"))
+    per_query, mean, excluded = pipeline.evaluate_run(entries, ws.test.judgments_by_query())
+    report = pipeline.EvalReport(policy, ws.config.selection.shots, mean, per_query,
+                                 excluded, ws.digest)
     out[f"reports/{policy}.json"].write_text(report.to_json(), encoding="utf-8")
     extra = f", {len(excluded)} queries excluded" if excluded else ""
     return f"mean NDCG@10 {mean:.5f} over {len(per_query)} queries{extra}"
 
 
-def _compare(policies: list[str], s: Session, out: dict[str, Path]) -> str:
-    reports = [read_artifact(s.ws.path(f"reports/{policy}.json"),
+def _compare(policies: list[str], ws: Workspace, out: dict[str, Path]) -> str:
+    reports = [read_artifact(ws.path(f"reports/{policy}.json"),
                              lambda p: pipeline.EvalReport.from_json(p.read_text(encoding="utf-8")),
                              "report") for policy in policies]
     comparison = pipeline.compare_reports(reports)
-    comparison["config_digest"] = s.ws.digest
+    comparison["config_digest"] = ws.digest
     out["compare.json"].write_text(json.dumps(comparison, sort_keys=True, indent=2),
                                    encoding="utf-8")
     width = max(len(p) for p in policies)
@@ -413,18 +409,14 @@ def _compare(policies: list[str], s: Session, out: dict[str, Path]) -> str:
 
 @dataclass(frozen=True)
 class Stage:
-    """One pipeline step; its manifest is `manifests/<name>.manifest.json`.
-
-    `command` is the CLI command that runs it.  `scores` marks stages that call
-    the scorer, which also read the scorer's oracle files (`Workspace.oracle`).
-    """
+    """One pipeline step, run by the CLI `command`, that reads every artifact in
+    `inputs`; its manifest is `manifests/<name>.manifest.json`."""
 
     name: str
     command: str
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
-    build: Callable[[Session, dict[str, Path]], str]
-    scores: bool = False
+    build: Callable[[Workspace, dict[str, Path]], str]
     policy: str | None = None
 
     @property
@@ -436,25 +428,32 @@ POOL = ("pool.jsonl", "training_inputs.jsonl")
 TRAIN_SPLIT, TEST_SPLIT = DATA_KEYS[:3], DATA_KEYS[3:]
 
 
-def stages(policies=pipeline.POLICIES) -> list[Stage]:
-    """The pipeline in run order, with ranking stages for `policies`."""
+def stages(config: ExperimentConfig, policies=pipeline.POLICIES) -> list[Stage]:
+    """The stages that `config` runs, in run order, with ranking stages for
+    `policies`; a dataset read from files has no stage that writes it."""
+
+    def with_oracle(*inputs: str) -> tuple[str, ...]:
+        return tuple(dict.fromkeys((*inputs, *_oracle(config))))
+
+    synthetic = config.data.source == "synthetic"
     return [
-        Stage("data", "build-pool", (), tuple(DATA_FILES), _build_data),
+        *([Stage("data", "build-pool", (), tuple(DATA_FILES), _build_data)] if synthetic else []),
         Stage("build-pool", "build-pool", TRAIN_SPLIT,
               (*POOL, "training_inputs.report.json"), _build_pool),
         Stage("mine-candidates", "mine-candidates", POOL, ("candidates.jsonl",),
               _mine_candidates),
-        Stage("score-candidates", "score-candidates", (*POOL, "candidates.jsonl"),
-              ("scored.jsonl",), _score_candidates, scores=True),
+        Stage("score-candidates", "score-candidates", with_oracle(*POOL, "candidates.jsonl"),
+              ("scored.jsonl",), _score_candidates),
         Stage("train-retriever", "train-retriever", (*POOL, "scored.jsonl"),
               ("retriever.ckpt",), _train_retriever),
-        Stage("build-samples", "build-samples", (*POOL, "retriever.ckpt"),
-              ("samples.jsonl",), _build_samples, scores=True),
+        Stage("build-samples", "build-samples", with_oracle(*POOL, "retriever.ckpt"),
+              ("samples.jsonl",), _build_samples),
         Stage("train-reranker", "train-reranker", (*POOL, "samples.jsonl"),
               ("reranker.ckpt",), _train_reranker),
-        *(Stage(f"rank-{p}", "rank", ("pool.jsonl", *TEST_SPLIT,
-                                      *(f"{m}.ckpt" for m in pipeline.MODELS_BY_POLICY[p])),
-                (f"runs/{p}.run",), partial(_rank, p), scores=True, policy=p)
+        *(Stage(f"rank-{p}", "rank",
+                with_oracle("pool.jsonl", *TEST_SPLIT,
+                            *(f"{m}.ckpt" for m in pipeline.MODELS_BY_POLICY[p])),
+                (f"runs/{p}.run",), partial(_rank, p), policy=p)
           for p in policies),
         *(Stage(f"evaluate-{p}", "evaluate", (f"runs/{p}.run", *TEST_SPLIT),
                 (f"reports/{p}.json",), partial(_evaluate, p), policy=p)
@@ -464,38 +463,22 @@ def stages(policies=pipeline.POLICIES) -> list[Stage]:
     ]
 
 
-# artifact -> the stage that produces it
-PRODUCERS = {rel: stage for stage in stages() for rel in stage.outputs}
-COMMANDS = ("print-config", *dict.fromkeys(stage.command for stage in stages()))
+COMMANDS = ("print-config", *dict.fromkeys(stage.command for stage in stages(ExperimentConfig())))
 
 
-def run_stage(s: Session, stage: Stage, force: bool) -> None:
+def run_stage(ws: Workspace, stage: Stage, force: bool) -> None:
     """Require the inputs, skip if up to date, build, rename, write the manifest."""
-    ws = s.ws
-    keys = stage.inputs + (ws.oracle if stage.scores else ())
-    inputs = {rel: ws.require(rel) for rel in keys}
+    inputs = {rel: ws.require(rel) for rel in stage.inputs}
     outputs = {rel: ws.path(rel) for rel in stage.outputs}
     if not force and ws.up_to_date(stage.name, inputs, outputs):
         print(f"{stage.label}: up to date")
         return
     tmp = {rel: p.with_suffix(p.suffix + ".tmp") for rel, p in outputs.items()}
-    summary = stage.build(s, tmp)
+    summary = stage.build(ws, tmp)
     for rel, p in outputs.items():
         os.replace(tmp[rel], p)
     ws.write_manifest(stage.name, stage.command, inputs, outputs)
     print(f"{stage.label}: {summary}")
-
-
-def run_command(ws: Workspace, args, policies: list[str]) -> int:
-    session = Session(ws, args.score_cache)
-    try:
-        for stage in stages(policies):
-            # A dataset read from files has no data stage to run.
-            if stage.command == args.command and not ws.external.keys() & stage.outputs:
-                run_stage(session, stage, args.force)
-    finally:
-        session.save_cache()
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -545,7 +528,14 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--score-cache {args.score_cache} is a directory")
             _make_dir(args.score_cache.parent, f"--score-cache {args.score_cache}")
         _make_dir(args.workdir, f"--workdir {args.workdir}")
-        return run_command(Workspace(args.workdir, config, config_dir), args, policies)
+        ws = Workspace(args.workdir, config, config_dir, policies, args.score_cache)
+        try:
+            for stage in ws.stages:
+                if stage.command == args.command:
+                    run_stage(ws, stage, args.force)
+        finally:
+            ws.save_cache()
+        return 0
     except (ConfigError, bm25.PoolTooSmallError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

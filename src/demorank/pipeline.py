@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import json
 import random
-import time
 from dataclasses import asdict, dataclass
 from math import log2
 from typing import Callable
@@ -236,7 +235,6 @@ class EvalReport:
     per_query: dict[str, float]
     excluded_queries: list[str]
     config_digest: str = ""
-    wall_clock_sec: float = 0.0
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
@@ -312,7 +310,6 @@ def run_policy(policy: str, dataset: Dataset, ctx: PolicyContext,
     """Rank every test query's judged passages under one selection policy."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    start = time.monotonic()
     select = _selector(policy, ctx)
     initial = initial_rankings(dataset, ctx.bm25_params)
     qrels = dataset.judgments_by_query()
@@ -332,8 +329,7 @@ def run_policy(policy: str, dataset: Dataset, ctx: PolicyContext,
         entries.extend(rank_passages_per_input(query, passages, demos_per_passage,
                                                ctx.backend, ctx.template, tag=policy))
     per_query, mean, excluded = evaluate_run(entries, qrels)
-    report = EvalReport(policy, ctx.shots, mean, per_query, excluded,
-                        config_digest, time.monotonic() - start)
+    report = EvalReport(policy, ctx.shots, mean, per_query, excluded, config_digest)
     return report, entries
 
 

@@ -135,9 +135,9 @@ def desk_state(tmp_path_factory) -> DeskState:
     workdir = tmp_path_factory.mktemp("desk")
     for command in DESK_CHAIN:
         assert cli.main(["--workdir", str(workdir), command]) == 0, command
-    s = cli.Session(cli.Workspace(workdir, cfg, workdir), None)
+    s = cli.Workspace(workdir, cfg, workdir)
     pool, inputs = s.pool, s.training_inputs
-    sets = load_scored_sets(s.ws.path("scored.jsonl"), inputs, pool)
+    sets = load_scored_sets(s.path("scored.jsonl"), inputs, pool)
     split = int(len(sets) * 0.8)
     train_sets, held_sets = sets[:split], sets[split:]
 
@@ -172,7 +172,7 @@ def desk_state(tmp_path_factory) -> DeskState:
         template=cfg.template, sets=sets, train_sets=train_sets,
         held_sets=held_sets, retriever_untrained=retr0,
         retriever_split=retr_split, retriever_all=retr_all,
-        samples=load_samples(s.ws.path("samples.jsonl"), inputs, pool),
+        samples=load_samples(s.path("samples.jsonl"), inputs, pool),
         reranker_untrained=rr0, reranker=s.model("reranker"),
         held_samples=held_samples, build_seconds=time.monotonic() - start,
     )

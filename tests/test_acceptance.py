@@ -519,7 +519,7 @@ class TestAcceptanceCriteria:
               and sim_exact and cross_exact)
         check(record_criterion, 9, ok,
               f"identical-config reruns: {identical}/{len(run_files)} run files and "
-              f"compare.json byte-identical (reports carry wall-clock, excluded); "
+              f"compare.json byte-identical; "
               f"checkpoint round trips reproduce similarity and cross_score exactly: "
               f"{sim_exact and cross_exact}")
 

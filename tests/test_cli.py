@@ -101,6 +101,32 @@ class TestFullChain:
         for digest_val in manifest["outputs"].values():
             assert re.fullmatch(r"[0-9a-f]{64}", digest_val)
 
+    def test_manifest_inputs(self, built):
+        """Each manifest lists every artifact its stage reads; the scoring
+        stages also read the mock oracle's files."""
+        _, workdir = built
+        pool = {"pool.jsonl", "training_inputs.jsonl"}
+        oracle = {"topics", *DATA_KEYS}
+        models = {"retriever-topk": {"retriever.ckpt"},
+                  "demorank": {"retriever.ckpt", "reranker.ckpt"}}
+        expected = {
+            "data": set(),
+            "build-pool": {"train_queries", "train_passages", "train_qrels"},
+            "mine-candidates": pool,
+            "score-candidates": {*pool, "candidates.jsonl", *oracle},
+            "train-retriever": {*pool, "scored.jsonl"},
+            "build-samples": {*pool, "retriever.ckpt", *oracle},
+            "train-reranker": {*pool, "samples.jsonl"},
+            "compare": {f"reports/{p}.json" for p in POLICIES},
+            **{f"rank-{p}": {"pool.jsonl", *oracle, *models.get(p, ())} for p in POLICIES},
+            **{f"evaluate-{p}": {f"runs/{p}.run", "test_queries", "test_passages",
+                                 "test_qrels"} for p in POLICIES},
+        }
+        found = {path.name.removesuffix(".manifest.json"):
+                 set(json.loads(path.read_text())["inputs"])
+                 for path in (workdir / "manifests").glob("*.manifest.json")}
+        assert found == expected
+
     def test_run_files_parse(self, built):
         _, workdir = built
         for policy in POLICIES:
@@ -144,11 +170,40 @@ class TestFullChain:
         assert "score-candidates:" in out
         assert (workdir / "scored.jsonl").read_bytes() == before
 
+    def test_identical_chains_write_identical_reports(self, built, tmp_path):
+        config_path, workdir = built
+        build_chain(config_path, tmp_path / "again")
+        for rel in (*(f"reports/{p}.json" for p in POLICIES), "manifests/compare.manifest.json"):
+            assert (tmp_path / "again" / rel).read_bytes() == (workdir / rel).read_bytes(), rel
+
     def test_evaluate_single_policy(self, built, capsys):
         config_path, workdir = built
         assert run_cli(config_path, workdir, "evaluate", "--policy", "zero-shot") == 0
         out = capsys.readouterr().out
         assert "evaluate[zero-shot]: up to date" in out
+
+
+class TestStageTable:
+    ORACLE = {"topics", *DATA_KEYS}
+    SCORING = {"score-candidates", "build-samples", *(f"rank-{p}" for p in POLICIES)}
+
+    @pytest.mark.parametrize("source,backend", [
+        ("synthetic", "mock"), ("synthetic", "http"), ("files", "mock")])
+    def test_table_names_every_input(self, tmp_path, source, backend):
+        data = {"source": source}
+        if source == "files":
+            data.update({f"{key}_path": f"{key}.data" for key in DATA_KEYS})
+        config = load_config(write_config(tmp_path, {"data": data, "scorer": {"backend": backend}}))
+        table = cli.stages(config)
+        assert ("data" in [stage.name for stage in table]) == (source == "synthetic")
+        # dataset files read from outside the workdir are the only unproduced inputs
+        available = set() if source == "synthetic" else set(DATA_KEYS)
+        for stage in table:
+            assert set(stage.inputs) <= available, stage.name
+            available |= set(stage.outputs)
+            reads_oracle = (source, backend) == ("synthetic", "mock") and stage.name in self.SCORING
+            assert (self.ORACLE <= set(stage.inputs)) == reads_oracle, stage.name
+            assert ("topics" in stage.inputs) == reads_oracle, stage.name
 
 
 class TestPrintConfig:
@@ -614,6 +669,28 @@ class TestWorkdir:
         assert f"config error: --score-cache {cache_path}" in capsys.readouterr().err
         assert not (workdir / "scored.jsonl").exists()
         assert not (workdir / "manifests" / "score-candidates.manifest.json").exists()
+
+
+class TestHashSeed:
+    def test_mining_does_not_depend_on_the_hash_seed(self, tmp_path):
+        """BM25 sums query terms in sorted order, so processes with different
+        hash seeds mine the same candidates."""
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(
+            {"data": {"train_queries": 50, "test_queries": 12}, "seeds": {"data": 11}}))
+        src = Path(demorank.__file__).resolve().parent.parent
+        mined = []
+        for hash_seed in ("0", "1"):
+            workdir = tmp_path / f"work-{hash_seed}"
+            for command in ("build-pool", "mine-candidates"):
+                result = subprocess.run(
+                    [sys.executable, "-m", "demorank.cli", "--config", str(config_path),
+                     "--workdir", str(workdir), command],
+                    cwd=tmp_path, capture_output=True, text=True, timeout=300,
+                    env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed})
+                assert result.returncode == 0, result.stderr
+            mined.append((workdir / "candidates.jsonl").read_bytes())
+        assert mined[0] == mined[1]
 
 
 class TestImportWeight:

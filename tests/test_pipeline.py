@@ -437,20 +437,20 @@ class TestRunPolicy:
 
 class TestReports:
     def make_report(self, policy, mean):
-        return EvalReport(policy, 3, mean, {"q1": mean}, [], "digest", 0.5)
+        return EvalReport(policy, 3, mean, {"q1": mean}, [], "digest")
 
     def test_to_json_keys(self):
         report = self.make_report("zero-shot", 0.75)
         obj = json.loads(report.to_json())
         assert set(obj) == {
             "policy", "shots", "mean_ndcg", "per_query", "excluded_queries",
-            "config_digest", "wall_clock_sec",
+            "config_digest",
         }
         assert obj["mean_ndcg"] == 0.75
         assert obj["per_query"] == {"q1": 0.75}
 
     def test_from_json_reads_to_json(self):
-        report = EvalReport("random", 3, 0.5, {"q1": 0.5}, ["q2"], "digest", 0.25)
+        report = EvalReport("random", 3, 0.5, {"q1": 0.5}, ["q2"], "digest")
         assert EvalReport.from_json(report.to_json()) == report
 
     def test_compare_reports_deltas(self):

@@ -70,6 +70,16 @@ def read_artifact(path: Path, load, what: str):
         raise data.CorpusError(f"{path}: malformed {what}: {exc}") from exc
 
 
+def say(text: str) -> None:
+    """Print to stdout; once stdout is closed, lines go to devnull and the command runs on."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def atomic_produce(path: Path, producer) -> None:
     """Run `producer(tmp_path)` then rename the temp file into place."""
     tmp = path.with_suffix(path.suffix + ".tmp")
@@ -366,14 +376,12 @@ def _train_reranker(ws: Workspace, out: dict[str, Path]) -> str:
 
 def _rank(policy: str, ws: Workspace, out: dict[str, Path]) -> str:
     cfg = ws.config
-    sel = cfg.selection
     ctx = pipeline.PolicyContext(
         pool=ws.pool, backend=ws.backend, template=cfg.template,
-        bm25_params=cfg.bm25, shots=sel.shots, retrieve_d=sel.retrieve_d,
-        per_query_selection=sel.per_query, seed=cfg.seeds.policy,
+        bm25_params=cfg.bm25, selection=cfg.selection,
         **{name: ws.model(name) for name in pipeline.MODELS_BY_POLICY[policy]},
     )
-    _, entries = pipeline.run_policy(policy, ws.test, ctx, ws.digest)
+    entries = pipeline.run_policy(policy, ws.test, ctx, cfg.seeds.policy)
     pipeline.write_run(out[f"runs/{policy}.run"], entries)
     return f"{len(entries)} entries"
 
@@ -471,14 +479,14 @@ def run_stage(ws: Workspace, stage: Stage, force: bool) -> None:
     inputs = {rel: ws.require(rel) for rel in stage.inputs}
     outputs = {rel: ws.path(rel) for rel in stage.outputs}
     if not force and ws.up_to_date(stage.name, inputs, outputs):
-        print(f"{stage.label}: up to date")
+        say(f"{stage.label}: up to date")
         return
     tmp = {rel: p.with_suffix(p.suffix + ".tmp") for rel, p in outputs.items()}
     summary = stage.build(ws, tmp)
     for rel, p in outputs.items():
         os.replace(tmp[rel], p)
     ws.write_manifest(stage.name, stage.command, inputs, outputs)
-    print(f"{stage.label}: {summary}")
+    say(f"{stage.label}: {summary}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -517,7 +525,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         if args.command == "print-config":  # reads and writes no artifact
-            print(config.to_json())
+            say(config.to_json())
             return 0
         policies = check_policies(getattr(args, "policy", None) or config.selection.policies)
         config_dir = args.config.parent.resolve() if args.config else Path.cwd()

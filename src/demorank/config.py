@@ -18,7 +18,7 @@ from hashlib import sha256
 from pathlib import Path
 
 from .bm25 import Bm25Params
-from .pipeline import POLICIES
+from .pipeline import POLICIES, SelectionParams
 from .retriever import EncoderConfig, RetrieverTrainConfig
 from .reranker import RerankerTrainConfig
 from .scoring import MockScorerWeights, PromptTemplate
@@ -130,17 +130,11 @@ class RerankerSection(RerankerTrainConfig):
 
 
 @dataclass(frozen=True)
-class SelectionSection:
-    shots: int = 3
-    retrieve_d: int = 30
-    per_query: bool = False
+class SelectionSection(SelectionParams):
     policies: tuple[str, ...] = POLICIES
 
     def __post_init__(self) -> None:
-        if self.shots < 0 or self.retrieve_d < 1:
-            raise ConfigError("bad selection sizes")
-        if self.shots > self.retrieve_d:
-            raise ConfigError("selection.shots must not exceed selection.retrieve_d")
+        super().__post_init__()
         check_policies(self.policies)
 
 

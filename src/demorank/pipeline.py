@@ -11,6 +11,7 @@ import itertools
 import json
 import random
 from dataclasses import asdict, dataclass
+from functools import cache
 from math import log2
 from typing import Callable
 
@@ -20,7 +21,7 @@ from .bm25 import Bm25Params, bm25_search, build_index, build_pool_index
 from .data import (CorpusError, Dataset, Demonstration, Passage, Query, TrainingInput,
                    read_lines)
 from .reranker import CrossEncoder, cross_score_batch
-from .retriever import BiEncoder, DenseIndex, EncodingCache, retrieve_topD
+from .retriever import BiEncoder, DenseIndex, encoding_cache, retrieve_topD
 from .scoring import PromptTemplate, ScoreRequest, ScorerBackend, score_list
 
 # Each policy, with the trained models (PolicyContext fields) it reads.
@@ -71,7 +72,7 @@ def greedy_select_from(input, candidates: list[Demonstration], k: int,
 
 def greedy_select(input, retriever: BiEncoder, index: DenseIndex,
                   reranker: CrossEncoder, D: int, k: int,
-                  encodings: EncodingCache | None = None) -> list[Demonstration]:
+                  encodings: Callable[[str], np.ndarray] | None = None) -> list[Demonstration]:
     """Retrieve top-D with the bi-encoder, then greedily pick k by reranker score.
 
     Each text is encoded by the reranker once per `encodings` memo, however
@@ -80,7 +81,7 @@ def greedy_select(input, retriever: BiEncoder, index: DenseIndex,
     if k > D:
         raise ValueError(f"k={k} must not exceed D={D}")
     candidates = retrieve_topD(index, retriever, input, D)
-    enc = encodings if encodings is not None else EncodingCache(reranker.embeddings)
+    enc = encodings if encodings is not None else encoding_cache(reranker.embeddings)
     return greedy_select_from(
         input, candidates, k,
         lambda prefix, rem: cross_score_batch(reranker, input, prefix, rem, enc))
@@ -213,18 +214,30 @@ def load_run(path) -> list[RunEntry]:
 # Policies
 
 
+@dataclass(frozen=True)
+class SelectionParams:
+    """Demos per input, the top-D they come from, and one list per query or per passage."""
+
+    shots: int = 3
+    retrieve_d: int = 30
+    per_query: bool = False
+
+    def __post_init__(self) -> None:
+        if self.shots < 0 or self.retrieve_d < 1:
+            raise ValueError("bad selection sizes")
+        if self.shots > self.retrieve_d:
+            raise ValueError("shots must not exceed retrieve_d")
+
+
 @dataclass
 class PolicyContext:
     pool: list[Demonstration]
     backend: ScorerBackend
     template: PromptTemplate
     bm25_params: Bm25Params = Bm25Params()
+    selection: SelectionParams = SelectionParams()
     retriever: BiEncoder | None = None
     reranker: CrossEncoder | None = None
-    shots: int = 3
-    retrieve_d: int = 30
-    per_query_selection: bool = False
-    seed: int = 0
 
 
 @dataclass
@@ -277,60 +290,51 @@ def _selector(policy: str, ctx: PolicyContext
     for name in MODELS_BY_POLICY[policy]:
         if getattr(ctx, name) is None:
             raise ValueError(f"policy needs {name}")
+    shots, d = ctx.selection.shots, ctx.selection.retrieve_d
     if policy == "zero-shot":
         return lambda input, rng: []
     if policy == "random":
-        k = min(ctx.shots, len(ctx.pool))
+        k = min(shots, len(ctx.pool))
         return lambda input, rng: [ctx.pool[i] for i in rng.sample(range(len(ctx.pool)), k)]
     if policy == "bm25-demos":
         index = build_pool_index(ctx.pool)
-        by_query: dict[str, list[Demonstration]] = {}  # the search reads only the query
 
-        def bm25_demos(input, rng):
-            text = input.query.text
-            if text not in by_query:
-                by_query[text] = [ctx.pool[i] for i, _ in bm25_search(
-                    index, ctx.bm25_params, text, top=ctx.shots)]
-            return by_query[text]
-        return bm25_demos
+        @cache  # the search reads only the query
+        def by_query(text: str) -> list[Demonstration]:
+            return [ctx.pool[i] for i, _ in bm25_search(index, ctx.bm25_params, text, top=shots)]
+        return lambda input, rng: by_query(input.query.text)
+    dense = DenseIndex.build(ctx.retriever, ctx.pool)
     if policy == "retriever-topk":
-        dense = DenseIndex.build(ctx.retriever, ctx.pool)
-        return lambda input, rng: retrieve_topD(dense, ctx.retriever, input,
-                                                ctx.retrieve_d)[:ctx.shots]
-    if policy == "demorank":
-        dense = DenseIndex.build(ctx.retriever, ctx.pool)
-        encodings = EncodingCache(ctx.reranker.embeddings)  # the reranker is frozen while ranking
-        return lambda input, rng: greedy_select(input, ctx.retriever, dense, ctx.reranker,
-                                                ctx.retrieve_d, ctx.shots, encodings)
-    raise ValueError(f"unknown policy {policy!r}")
+        return lambda input, rng: retrieve_topD(dense, ctx.retriever, input, d)[:shots]
+    encodings = encoding_cache(ctx.reranker.embeddings)  # the reranker is frozen while ranking
+    return lambda input, rng: greedy_select(input, ctx.retriever, dense, ctx.reranker,
+                                            d, shots, encodings)
 
 
 def run_policy(policy: str, dataset: Dataset, ctx: PolicyContext,
-               config_digest: str = "") -> tuple[EvalReport, list[RunEntry]]:
-    """Rank every test query's judged passages under one selection policy."""
+               seed: int = 0) -> list[RunEntry]:
+    """Rank every test query's judged passages under one selection policy;
+    `evaluate_run` scores the run."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     select = _selector(policy, ctx)
     initial = initial_rankings(dataset, ctx.bm25_params)
-    qrels = dataset.judgments_by_query()
     entries: list[RunEntry] = []
     for q_ordinal, query in enumerate(sorted(dataset.queries, key=lambda q: q.id)):
         passages = initial[query.id]
         if not passages:
             continue
-        if ctx.per_query_selection:
-            rng = random.Random((ctx.seed, policy, q_ordinal).__repr__())
+        if ctx.selection.per_query:
+            rng = random.Random((seed, policy, q_ordinal).__repr__())
             demos_per_passage = [select(RankInput(query, passages[0]), rng)] * len(passages)
         else:
             demos_per_passage = [
                 select(RankInput(query, passage),
-                       random.Random((ctx.seed, policy, q_ordinal, p_ordinal).__repr__()))
+                       random.Random((seed, policy, q_ordinal, p_ordinal).__repr__()))
                 for p_ordinal, passage in enumerate(passages)]
         entries.extend(rank_passages_per_input(query, passages, demos_per_passage,
                                                ctx.backend, ctx.template, tag=policy))
-    per_query, mean, excluded = evaluate_run(entries, qrels)
-    report = EvalReport(policy, ctx.shots, mean, per_query, excluded, config_digest)
-    return report, entries
+    return entries
 
 
 def compare_reports(reports: list[EvalReport]) -> dict:

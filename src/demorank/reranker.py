@@ -18,15 +18,16 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .data import Demonstration, RefResolver, TrainingInput, read_jsonl, write_jsonl
 from .retriever import (
     EncoderConfig,
-    EncodingCache,
     NonFiniteLossError,
     demo_text,
+    encoding_cache,
     feats_rows,
     input_text,
     scatter_feats,
@@ -114,7 +115,7 @@ class _Lists:
     x: np.ndarray  # (n, 4 * dim)
 
 
-def _featurize(enc: EncodingCache, input, prefix, lasts) -> _Lists:
+def _featurize(enc: Callable[[str], np.ndarray], input, prefix, lasts) -> _Lists:
     """The single place cross-encoder feature rows are built."""
     in_text = input_text(input.query.text, input.passage.text)
     prefix_texts = [demo_text(d) for d in prefix]
@@ -179,15 +180,15 @@ def cross_score(model: CrossEncoder, input, demos) -> float:
 
 
 def cross_score_batch(model: CrossEncoder, input, prefix, candidates,
-                      encodings: EncodingCache | None = None) -> np.ndarray:
+                      encodings: Callable[[str], np.ndarray] | None = None) -> np.ndarray:
     """cross_score(input, prefix + [z]) for every candidate z, in one batch.
 
-    `encodings` (an `EncodingCache(model.embeddings)`) lets calls on a
+    `encodings` (an `encoding_cache(model.embeddings)`) lets calls on a
     frozen model share text encodings.
     """
     if not candidates:
         return np.empty(0, dtype=np.float64)
-    enc = encodings if encodings is not None else EncodingCache(model.embeddings)
+    enc = encodings if encodings is not None else encoding_cache(model.embeddings)
     scores, _ = _forward(model, _featurize(enc, input, prefix, candidates).x)
     return scores
 
@@ -309,7 +310,7 @@ def construct_samples_for_corpus(inputs, retrieved_by_input, backend, template,
 # List-pairwise loss
 
 
-def _sample_lists(enc: EncodingCache, sample: DependencySample) -> _Lists:
+def _sample_lists(enc: Callable[[str], np.ndarray], sample: DependencySample) -> _Lists:
     return _featurize(enc, sample.input, sample.prefix,
                       [c.demos[-1] for c in sample.continuations])
 
@@ -334,7 +335,7 @@ def list_pairwise_loss(model: CrossEncoder, samples: list[DependencySample],
                        pair_rng: np.random.Generator | None = None) -> float:
     """Sum over samples and better/worse continuation pairs of
     log(1 + exp(score_worse - score_better)) under the model."""
-    enc = EncodingCache(model.embeddings)
+    enc = encoding_cache(model.embeddings)
     total = 0.0
     for sample in samples:
         scores, _ = _forward(model, _sample_lists(enc, sample).x)
@@ -350,7 +351,7 @@ def reranker_loss_and_grads(model: CrossEncoder, samples: list[DependencySample]
 
     Each distinct text is encoded once for all samples.
     """
-    enc = EncodingCache(model.embeddings)
+    enc = encoding_cache(model.embeddings)
     grads = {
         "embeddings": np.zeros_like(model.embeddings),
         "w1": np.zeros_like(model.w1),

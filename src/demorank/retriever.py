@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -135,22 +136,13 @@ def sgd_rows(table: np.ndarray, grad: np.ndarray, rows: np.ndarray,
     table[rows] = snap_f32(table[rows] - learning_rate * grad[rows])
 
 
-class EncodingCache:
+def encoding_cache(table: np.ndarray) -> Callable[[str], np.ndarray]:
     """Each distinct text's encoding under one table, computed once.
 
     Valid while the table is unchanged: within one training step, or for a
     frozen model.
     """
-
-    def __init__(self, table: np.ndarray) -> None:
-        self.table = table
-        self._enc: dict[str, np.ndarray] = {}
-
-    def __call__(self, text: str) -> np.ndarray:
-        got = self._enc.get(text)
-        if got is None:
-            got = self._enc[text] = encode_feats(self.table, text_features(text, len(self.table)))
-        return got
+    return cache(lambda text: encode_feats(table, text_features(text, len(table))))
 
 
 def encode(model: BiEncoder, text: str) -> np.ndarray:

@@ -47,7 +47,9 @@ from demorank.pipeline import (
     POLICIES,
     PolicyContext,
     RunEntry,
+    SelectionParams,
     brute_force_best_list,
+    evaluate_run,
     greedy_select_from,
     ndcg_at_k,
     run_policy,
@@ -445,15 +447,12 @@ class TestAcceptanceCriteria:
             template=desk_state.template,
             retriever=desk_state.retriever_all,
             reranker=desk_state.reranker,
-            shots=3,
-            retrieve_d=30,
-            seed=43,
+            selection=SelectionParams(shots=3, retrieve_d=30),
         )
         start = time.monotonic()
-        means = {}
-        for policy in POLICIES:
-            report, _ = run_policy(policy, desk_state.test, ctx)
-            means[policy] = report.mean_ndcg
+        qrels = desk_state.test.judgments_by_query()
+        means = {policy: evaluate_run(run_policy(policy, desk_state.test, ctx, 43), qrels)[1]
+                 for policy in POLICIES}
         wall = desk_state.build_seconds + (time.monotonic() - start)
         ok = (means["demorank"] >= means["random"]
               and means["demorank"] >= means["bm25-demos"] and wall < 600.0)

@@ -693,6 +693,33 @@ class TestHashSeed:
         assert mined[0] == mined[1]
 
 
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_closed_stdout_stops_the_status_lines_not_the_command(self, built, tmp_path,
+                                                                  unbuffered):
+        config_path, workdir = copy_built(built, tmp_path)
+        for policy in POLICIES:
+            (workdir / "reports" / f"{policy}.json").unlink()
+            (workdir / "manifests" / f"evaluate-{policy}.manifest.json").unlink()
+        env = {**os.environ, "PYTHONPATH": str(Path(demorank.__file__).resolve().parent.parent)}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # nobody reads: every write to stdout fails with EPIPE
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "demorank.cli", "--config", str(config_path),
+                 "--workdir", str(workdir), "--force", "evaluate"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (0, "")
+        for policy in POLICIES:
+            assert (workdir / "reports" / f"{policy}.json").exists(), policy
+            assert (workdir / "manifests" / f"evaluate-{policy}.manifest.json").exists(), policy
+
+
 class TestImportWeight:
     def test_mock_chain_never_imports_requests(self, tmp_path):
         """Only the HTTP scorer needs `requests`; a mock-backend process never loads it."""

@@ -1,6 +1,7 @@
 """Tests for the experiment configuration file format and its digest."""
 
 import dataclasses
+import importlib
 import json
 import os
 import re
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import demorank
 from demorank.bm25 import Bm25Params
 from demorank.config import (
     ConfigError,
@@ -19,10 +21,10 @@ from demorank.config import (
     RerankerSection,
     RetrieverSection,
     ScorerSection,
-    SelectionSection,
     config_from_dict,
     load_config,
 )
+from demorank.pipeline import SelectionParams
 from demorank.retriever import EncoderConfig, RetrieverTrainConfig
 from demorank.reranker import RerankerTrainConfig
 from demorank.scoring import MockScorerWeights, PromptTemplate
@@ -165,10 +167,10 @@ class TestValidation:
             RetrieverSection(candidates_b=0)
 
     def test_bad_selection_sizes(self):
-        with pytest.raises(ConfigError, match="selection sizes"):
-            SelectionSection(shots=-1)
-        with pytest.raises(ConfigError, match="selection sizes"):
-            SelectionSection(retrieve_d=0)
+        with pytest.raises(ConfigError, match="bad value in selection: bad selection sizes"):
+            config_from_dict({"selection": {"shots": -1}})
+        with pytest.raises(ConfigError, match="bad value in selection: bad selection sizes"):
+            config_from_dict({"selection": {"retrieve_d": 0}})
 
     def test_iterations_capped_by_retrieve_m(self):
         with pytest.raises(ConfigError, match="iterations must not exceed"):
@@ -266,7 +268,7 @@ class TestSectionBuilders:
     @pytest.mark.parametrize("section, library_type", [
         ("data", SynthParams), ("template", PromptTemplate), ("bm25", Bm25Params),
         ("encoder", EncoderConfig), ("retriever", RetrieverTrainConfig),
-        ("reranker", RerankerTrainConfig),
+        ("reranker", RerankerTrainConfig), ("selection", SelectionParams),
     ])
     def test_section_is_its_library_type(self, section, library_type):
         assert isinstance(getattr(ExperimentConfig(), section), library_type)
@@ -276,6 +278,31 @@ class TestSectionBuilders:
     def test_mock_weights(self):
         assert ScorerSection().mock_weights() == MockScorerWeights(
             2.0, 1.0, 1.0, 2.0, -1.0, 3.0)
+
+
+def demorank_modules():
+    package = Path(demorank.__file__).parent
+    return [importlib.import_module(f"demorank.{path.stem}")
+            for path in sorted(package.glob("*.py")) if path.stem != "__init__"]
+
+
+class TestParameterTypes:
+    def test_no_dataclass_holds_a_seed(self):
+        """Every seed reaches the library as an argument."""
+        seeded = [f"{module.__name__}.{cls.__qualname__}.{f.name}"
+                  for module in demorank_modules() for cls in vars(module).values()
+                  if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                  and cls.__module__ == module.__name__
+                  for f in dataclasses.fields(cls)
+                  if f.name == "seed" or f.name.endswith("_seed")]
+        assert seeded == []
+
+    def test_every_section_but_scorer_and_seeds_is_a_library_type(self):
+        config_only = [f.name for f in dataclasses.fields(ExperimentConfig)
+                       if not any(dataclasses.is_dataclass(base)
+                                  and base.__module__ != "demorank.config"
+                                  for base in f.default_factory.__mro__)]
+        assert config_only == ["scorer", "seeds"]
 
 
 class TestLoadConfig:

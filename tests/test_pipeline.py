@@ -24,6 +24,7 @@ from demorank.pipeline import (
     EvalReport,
     PolicyContext,
     RunEntry,
+    SelectionParams,
     brute_force_best_list,
     compare_reports,
     evaluate_run,
@@ -362,9 +363,7 @@ def policy_world():
         template=PromptTemplate(),
         retriever=retriever,
         reranker=CrossEncoder.init(EncoderConfig(vocab_buckets=128, dim=8), 4, 37),
-        shots=2,
-        retrieve_d=5,
-        seed=43,
+        selection=SelectionParams(shots=2, retrieve_d=5),
     )
     return synth, ctx
 
@@ -372,27 +371,27 @@ def policy_world():
 class TestRunPolicy:
     def test_every_policy_produces_a_full_deterministic_run(self, policy_world):
         synth, ctx = policy_world
-        judged = {qid for qid, js in synth.test.judgments_by_query().items() if js}
+        qrels = synth.test.judgments_by_query()
+        judged = {qid for qid, js in qrels.items() if js}
         for policy in POLICIES:
-            report, entries = run_policy(policy, synth.test, ctx)
-            again, entries_again = run_policy(policy, synth.test, ctx)
+            entries = run_policy(policy, synth.test, ctx, 43)
+            entries_again = run_policy(policy, synth.test, ctx, 43)
             assert entries == entries_again
-            assert again.mean_ndcg == report.mean_ndcg
-            assert report.policy == policy
-            assert report.shots == ctx.shots
-            assert 0.0 <= report.mean_ndcg <= 1.0
+            assert {e.tag for e in entries} == {policy}
             assert {e.query_id for e in entries} == judged
             by_query = {}
             for e in entries:
                 by_query.setdefault(e.query_id, []).append(e.rank)
             for ranks in by_query.values():
                 assert sorted(ranks) == list(range(1, len(ranks) + 1))
-            assert set(report.per_query) == judged
-            assert report.excluded_queries == []
+            per_query, mean, excluded = evaluate_run(entries, qrels)
+            assert 0.0 <= mean <= 1.0
+            assert set(per_query) == judged
+            assert excluded == []
 
     def test_zero_shot_matches_direct_ranking(self, policy_world):
         synth, ctx = policy_world
-        _, entries = run_policy("zero-shot", synth.test, ctx)
+        entries = run_policy("zero-shot", synth.test, ctx, 43)
         rankings = initial_rankings(synth.test, ctx.bm25_params)
         expected = []
         for query in sorted(synth.test.queries, key=lambda q: q.id):
@@ -406,11 +405,13 @@ class TestRunPolicy:
         synth, ctx = policy_world
         import dataclasses
 
-        fast_ctx = dataclasses.replace(ctx, per_query_selection=True)
-        report, entries = run_policy("demorank", synth.test, fast_ctx)
-        _, entries_again = run_policy("demorank", synth.test, fast_ctx)
+        fast_ctx = dataclasses.replace(
+            ctx, selection=dataclasses.replace(ctx.selection, per_query=True))
+        entries = run_policy("demorank", synth.test, fast_ctx, 43)
+        entries_again = run_policy("demorank", synth.test, fast_ctx, 43)
         assert entries == entries_again
-        assert 0.0 <= report.mean_ndcg <= 1.0
+        _, mean, _ = evaluate_run(entries, synth.test.judgments_by_query())
+        assert 0.0 <= mean <= 1.0
 
     def test_unknown_policy_rejected(self, policy_world):
         synth, ctx = policy_world
@@ -426,7 +427,7 @@ class TestRunPolicy:
     def test_oversized_retrieval_warns_once_per_policy(self, policy_world, caplog):
         synth, ctx = policy_world
         d = len(ctx.pool) + 5
-        wide = dataclasses.replace(ctx, retrieve_d=d)
+        wide = dataclasses.replace(ctx, selection=dataclasses.replace(ctx.selection, retrieve_d=d))
         for policy in ("retriever-topk", "demorank"):
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="demorank.retriever"):

@@ -11,7 +11,6 @@ from demorank.retriever import (
     BiEncoder,
     DenseIndex,
     EncoderConfig,
-    EncodingCache,
     NonFiniteLossError,
     RetrieverTrainConfig,
     ScoredCandidate,
@@ -21,6 +20,7 @@ from demorank.retriever import (
     demo_text,
     encode,
     encode_feats,
+    encoding_cache,
     feats_rows,
     fnv1a64,
     input_text,
@@ -168,7 +168,7 @@ class TestSparseKernels:
 
     def test_caches_compute_each_text_once(self):
         table = BiEncoder.init(EncoderConfig(vocab_buckets=64, dim=8), 42).embeddings
-        enc = EncodingCache(table)
+        enc = encoding_cache(table)
         first = enc("reef coral reef")
         assert enc("reef coral reef") is first
         np.testing.assert_array_equal(

@@ -6,7 +6,6 @@ import json
 import math
 import random
 import threading
-import time
 from hashlib import sha256
 from types import SimpleNamespace
 
@@ -396,9 +395,11 @@ class TestCachedScorer:
 
 
 @contextlib.contextmanager
-def answering_server(answer, delay_s=0.0):
+def answering_server(answer, hold_until=0):
     """Local threaded HTTP server answering each POST with `answer(body)`, a
-    (status, payload) pair, after `delay_s` seconds.
+    (status, payload) pair.  Each request is held until `hold_until` requests
+    have been in flight at once (for at most 5 s), so a client that sends that
+    many concurrently is seen doing so however slowly its threads start.
 
     Yields the base URL and a namespace holding `seen`, the list of
     (path, parsed body) requests received, and `peak`, the most requests it
@@ -406,6 +407,7 @@ def answering_server(answer, delay_s=0.0):
     """
     state = SimpleNamespace(seen=[], in_flight=0, peak=0)
     lock = threading.Lock()
+    reached = threading.Event()
 
     class Handler(http.server.BaseHTTPRequestHandler):
         def do_POST(self):
@@ -419,8 +421,10 @@ def answering_server(answer, delay_s=0.0):
                 state.seen.append((self.path, body))
                 state.in_flight += 1
                 state.peak = max(state.peak, state.in_flight)
+                if state.in_flight >= hold_until:
+                    reached.set()
                 status, payload = answer(body)
-            time.sleep(delay_s)
+            reached.wait(timeout=5.0)
             with lock:
                 state.in_flight -= 1
             data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
@@ -608,7 +612,7 @@ class TestHttpScorer:
             i = int(body["input"]["query"].split()[1])
             return 200, {"p": {"Yes": i + 1, "No": 8 - i}}
 
-        with answering_server(answer, delay_s=0.02) as (url, state):
+        with answering_server(answer, hold_until=2) as (url, state):
             scorer = HttpScorer(url, max_retries=1, max_in_flight=2)
             got = list(scorer.distributions(reqs))
             assert state.peak == 2
@@ -620,7 +624,7 @@ class TestHttpScorer:
     def test_connection_pool_holds_max_in_flight_connections(self, caplog):
         reqs = [request([], f"query {i}", f"passage {i}") for i in range(24)]
         answer = lambda body: (200, {"p": {"Yes": 1, "No": 1}})  # noqa: E731
-        with answering_server(answer, delay_s=0.02) as (url, state):
+        with answering_server(answer, hold_until=12) as (url, state):
             scorer = HttpScorer(url, max_retries=1, max_in_flight=12)
             with caplog.at_level("WARNING", logger="urllib3"):
                 assert len(list(scorer.distributions(reqs))) == 24

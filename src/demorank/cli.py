@@ -328,13 +328,8 @@ def _load_candidates(path: Path, training_inputs, pool):
 
 def _score_candidates(ws: Workspace, out: dict[str, Path]) -> str:
     mined = _load_candidates(ws.path("candidates.jsonl"), ws.training_inputs, ws.pool)
-    template = ws.config.template
-    sets = [
-        retriever.ScoredCandidateSet(inp, [
-            retriever.ScoredCandidate(d, score) for d, score in
-            zip(demos, scoring.score_lists(ws.backend, template, [[d] for d in demos], inp))])
-        for inp, demos in mined
-    ]
+    sets = [retriever.score_candidates(ws.backend, ws.config.template, inp, demos)
+            for inp, demos in mined]
     retriever.write_scored_sets(out["scored.jsonl"], sets)
     return (f"{sum(len(c.candidates) for c in sets)} scores "
             f"({ws.backend.cache.hits} cache hits)")

@@ -51,7 +51,7 @@ class RunEntry:
 # Greedy demonstration selection
 
 
-def greedy_select_from(input, candidates: list[Demonstration], k: int,
+def greedy_select_from(candidates: list[Demonstration], k: int,
                        batch_score_fn) -> list[Demonstration]:
     """Pick k demos one at a time, each maximizing the list score so far.
 
@@ -83,8 +83,7 @@ def greedy_select(input, retriever: BiEncoder, index: DenseIndex,
     candidates = retrieve_topD(index, retriever, input, D)
     enc = encodings if encodings is not None else encoding_cache(reranker.embeddings)
     return greedy_select_from(
-        input, candidates, k,
-        lambda prefix, rem: cross_score_batch(reranker, input, prefix, rem, enc))
+        candidates, k, lambda prefix, rem: cross_score_batch(reranker, input, prefix, rem, enc))
 
 
 def brute_force_best_list(input: TrainingInput, candidates: list[Demonstration],

@@ -26,11 +26,13 @@ from .data import Demonstration, RefResolver, TrainingInput, read_jsonl, write_j
 from .retriever import (
     EncoderConfig,
     NonFiniteLossError,
+    ScoredCandidate,
     demo_text,
     encoding_cache,
     feats_rows,
     input_text,
     scatter_feats,
+    score_candidates,
     sgd_rows,
     snap_f32,
     stable_sigmoid,
@@ -39,7 +41,7 @@ from .retriever import (
 # encode_feats stays importable from this module, as perfbench/spans.py
 # (which wraps every module alias) expects.
 from .retriever import encode_feats  # noqa: F401
-from .scoring import PromptTemplate, ScorerBackend, score_lists
+from .scoring import PromptTemplate, ScorerBackend
 
 logger = logging.getLogger(__name__)
 
@@ -227,18 +229,15 @@ def sample_by_rank(ranks, rng: np.random.Generator) -> int:
 
 
 @dataclass(frozen=True)
-class DemoList:
-    demos: tuple[Demonstration, ...]
-    llm_score: float
-
-
-@dataclass(frozen=True)
 class DependencySample:
-    """All continuations of one shared prefix, rank-ordered by LLM score."""
+    """All continuations of one shared prefix, rank-ordered by LLM score.
+
+    A continuation is the next demo with the LLM score of prefix + [demo].
+    """
 
     input: TrainingInput
     prefix: tuple[Demonstration, ...]
-    continuations: tuple[DemoList, ...]
+    continuations: tuple[ScoredCandidate, ...]
 
     @property
     def shot(self) -> int:
@@ -250,11 +249,9 @@ class DependencySample:
         lasts = set()
         prev = None
         for c in self.continuations:
-            if c.demos[:-1] != self.prefix:
-                raise ValueError("continuation does not extend the sample prefix")
-            if c.demos[-1].ref in lasts:
+            if c.demo.ref in lasts:
                 raise ValueError("duplicate continuation demo")
-            lasts.add(c.demos[-1].ref)
+            lasts.add(c.demo.ref)
             if prev is not None and c.llm_score > prev + 1e-12:
                 raise ValueError("continuations must be ordered by non-increasing score")
             prev = c.llm_score
@@ -277,17 +274,10 @@ def construct_samples(input: TrainingInput, retrieved: list[Demonstration],
     unselected = list(retrieved)
     samples = []
     for _ in range(iterations):
-        scores = score_lists(backend, template, [prefix + [z] for z in unselected], input)
-        order = sorted(range(len(unselected)), key=lambda i: (-scores[i], i))
-        ranks = [0] * len(unselected)
-        for pos, i in enumerate(order):
-            ranks[i] = pos + 1
-        continuations = tuple(
-            DemoList(tuple(prefix) + (unselected[i],), scores[i]) for i in order
-        )
-        samples.append(DependencySample(input, tuple(prefix), continuations))
-        chosen = sample_by_rank(ranks, rng)
-        prefix.append(unselected.pop(chosen))
+        scored = score_candidates(backend, template, input, unselected, prefix)
+        samples.append(DependencySample(input, tuple(prefix), tuple(
+            scored.candidates[i] for i in scored.order())))
+        prefix.append(unselected.pop(sample_by_rank(scored.ranks(), rng)))
     return samples
 
 
@@ -312,7 +302,7 @@ def construct_samples_for_corpus(inputs, retrieved_by_input, backend, template,
 
 def _sample_lists(enc: Callable[[str], np.ndarray], sample: DependencySample) -> _Lists:
     return _featurize(enc, sample.input, sample.prefix,
-                      [c.demos[-1] for c in sample.continuations])
+                      [c.demo for c in sample.continuations])
 
 
 def _select_pairs(n: int, max_pairs: int | None, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -392,7 +382,7 @@ def _group_rows(group: list[DependencySample], buckets: int) -> np.ndarray:
     for s in group:
         texts.append(input_text(s.input.query.text, s.input.passage.text))
         texts.extend(demo_text(d) for d in s.prefix)
-        texts.extend(demo_text(c.demos[-1]) for c in s.continuations)
+        texts.extend(demo_text(c.demo) for c in s.continuations)
     return feats_rows([text_features(t, buckets) for t in texts])
 
 
@@ -446,7 +436,7 @@ def write_samples(path, samples: list[DependencySample]) -> None:
         "input_id": s.input.input_id,
         "shot": s.shot,
         "prefix": [list(d.ref) for d in s.prefix],
-        "continuations": [{"last": list(c.demos[-1].ref), "llm_score": c.llm_score}
+        "continuations": [{"last": list(c.demo.ref), "llm_score": c.llm_score}
                           for c in s.continuations],
     } for s in samples))
 
@@ -459,7 +449,7 @@ def load_samples(path, inputs: list[TrainingInput],
         inp = refs.input(obj["input_id"])
         prefix = tuple(refs.demo(r) for r in obj["prefix"])
         sample = DependencySample(inp, prefix, tuple(
-            DemoList(prefix + (refs.demo(c["last"]),), float(c["llm_score"]))
+            ScoredCandidate(refs.demo(c["last"]), float(c["llm_score"]))
             for c in obj["continuations"]))
         if sample.shot != int(obj["shot"]):
             raise ValueError("shot mismatch")

@@ -22,6 +22,7 @@ import numpy as np
 
 from .bm25 import tokenize
 from .data import Demonstration, RefResolver, TrainingInput, read_jsonl, write_jsonl
+from .scoring import PromptTemplate, ScorerBackend, score_lists
 
 logger = logging.getLogger(__name__)
 
@@ -93,9 +94,6 @@ class BiEncoder:
         rng = np.random.default_rng(seed)
         table = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(config.vocab_buckets, config.dim))
         return cls(config, snap_f32(table))
-
-    def copy(self) -> "BiEncoder":
-        return BiEncoder(self.config, self.embeddings.copy())
 
 
 def encode_feats(table: np.ndarray, feats: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -216,17 +214,29 @@ class ScoredCandidateSet:
         if not self.candidates:
             raise ValueError(f"empty candidate set for {self.input.input_id}")
 
+    def order(self) -> list[int]:
+        """Candidate ordinals by descending llm_score, ties by ordinal: the
+        one rule that turns LLM scores into ranks, for both trainers."""
+        return sorted(range(len(self.candidates)),
+                      key=lambda i: (-self.candidates[i].llm_score, i))
+
     def ranks(self) -> list[int]:
-        """Rank 1..N by descending llm_score, ties by candidate ordinal."""
-        order = sorted(range(len(self.candidates)),
-                       key=lambda i: (-self.candidates[i].llm_score, i))
-        ranks = [0] * len(order)
-        for pos, i in enumerate(order):
+        """Rank 1..N of each candidate in `order()`."""
+        ranks = [0] * len(self.candidates)
+        for pos, i in enumerate(self.order()):
             ranks[i] = pos + 1
         return ranks
 
     def positive_index(self) -> int:
-        return self.ranks().index(1)
+        return self.order()[0]
+
+
+def score_candidates(backend: ScorerBackend, template: PromptTemplate, input: TrainingInput,
+                     candidates: list[Demonstration], prefix=()) -> ScoredCandidateSet:
+    """Each candidate scored by the LLM as the last demo of prefix + [candidate],
+    sent to the backend as one batch."""
+    scores = score_lists(backend, template, [[*prefix, z] for z in candidates], input)
+    return ScoredCandidateSet(input, [ScoredCandidate(z, s) for z, s in zip(candidates, scores)])
 
 
 def _set_loss_and_grad(table: np.ndarray, input_feats, demo_feats_list,

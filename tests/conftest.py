@@ -95,7 +95,7 @@ class DeskState:
         total = 0
         for sample in samples:
             scores = cross_score_batch(model, sample.input, list(sample.prefix),
-                                       [c.demos[-1] for c in sample.continuations])
+                                       [c.demo for c in sample.continuations])
             llm = [c.llm_score for c in sample.continuations]
             n = len(scores)
             for i in range(n):

@@ -56,7 +56,6 @@ from demorank.pipeline import (
 )
 from demorank.reranker import (
     CrossEncoder,
-    DemoList,
     DependencySample,
     construct_samples,
     cross_score,
@@ -122,8 +121,8 @@ def random_sample(rng, n_prefix: int, n_continuations: int) -> DependencySample:
                    for i in range(n_prefix))
     scores = np.sort(rng.random(n_continuations))[::-1]
     conts = tuple(
-        DemoList(prefix + (make_demo(f"c{i}", random_text(rng), random_text(rng)),),
-                 float(scores[i]))
+        ScoredCandidate(make_demo(f"c{i}", random_text(rng), random_text(rng)),
+                        float(scores[i]))
         for i in range(n_continuations)
     )
     return DependencySample(inp, prefix, conts)
@@ -273,11 +272,11 @@ class TestAcceptanceCriteria:
                 continue
             for i, sample in enumerate(samples):
                 conts = sample.continuations
-                lasts = [c.demos[-1].ref for c in conts]
+                lasts = [c.demo.ref for c in conts]
                 scores = [c.llm_score for c in conts]
                 if (len(conts) != m - i or len(sample.prefix) != i
                         or len(set(lasts)) != len(lasts)
-                        or any(c.demos[:-1] != sample.prefix for c in conts)
+                        or any(c.demo in sample.prefix for c in conts)
                         or any(scores[j] < scores[j + 1] - 1e-12
                                for j in range(len(scores) - 1))):
                     violations += 1
@@ -348,7 +347,7 @@ class TestAcceptanceCriteria:
                 return [score_list(backend, template, list(prefix) + [z], inp)
                         for z in lasts]
 
-            chosen = greedy_select_from(inp, cands, 1, batch_fn)
+            chosen = greedy_select_from(cands, 1, batch_fn)
             if tuple(d.ref for d in chosen) == tuple(d.ref for d in best_demos):
                 exact += 1
         greedy_scores, random_scores, opt_scores = [], [], []
@@ -369,7 +368,7 @@ class TestAcceptanceCriteria:
                 return [score_list(backend, template, list(prefix) + [z], inp)
                         for z in lasts]
 
-            chosen = greedy_select_from(inp, cands, 2, batch_fn)
+            chosen = greedy_select_from(cands, 2, batch_fn)
             greedy_scores.append(score_list(backend, template, chosen, inp))
         ratio = float(np.mean(greedy_scores) / np.mean(opt_scores))
         margin = float(np.mean(greedy_scores) - np.mean(random_scores))

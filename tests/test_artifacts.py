@@ -24,7 +24,7 @@ from demorank.data import (
     write_jsonl_texts,
     write_qrels,
 )
-from demorank.reranker import DemoList, DependencySample, load_samples, write_samples
+from demorank.reranker import DependencySample, load_samples, write_samples
 from demorank.retriever import (
     ScoredCandidate,
     ScoredCandidateSet,
@@ -75,7 +75,7 @@ def artifacts(tmp_path_factory):
         for inp, demos in mined])
     write_samples(root / "samples.jsonl", [
         DependencySample(inp, (demos[0],), tuple(
-            DemoList((demos[0], d), 1 / (j + 3)) for j, d in enumerate(demos[1:])))
+            ScoredCandidate(d, 1 / (j + 3)) for j, d in enumerate(demos[1:])))
         for inp, demos in mined])
     return root, inputs, pool
 

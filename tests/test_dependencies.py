@@ -58,6 +58,37 @@ def test_every_import_in_src_is_used():
     assert not unused, sorted(unused)
 
 
+def unused_parameters(path: Path) -> set[str]:
+    """`function: parameter` for each parameter a function's body never reads.
+
+    `self`, `cls` and names starting with `_` are exempt, as are functions
+    whose body is only a docstring or `...` (protocol stubs) and lambdas,
+    which share a caller's signature.
+    """
+    unused = set()
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if all(isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+               and (isinstance(stmt.value.value, str) or stmt.value.value is Ellipsis)
+               for stmt in fn.body):
+            continue
+        a = fn.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused.update(f"{fn.name}: {arg.arg}" for arg in params
+                      if arg.arg not in ("self", "cls") and not arg.arg.startswith("_")
+                      and arg.arg not in read)
+    return unused
+
+
+def test_every_parameter_in_src_is_read():
+    modules = sorted(Path(demorank.__file__).parent.glob("*.py"))
+    unused = {f"{path.stem}.{name}" for path in modules for name in unused_parameters(path)}
+    assert not unused, sorted(unused)
+
+
 def test_package_import_loads_no_module():
     """Names are imported from their modules; `import demorank` alone loads
     no submodule and no numpy."""

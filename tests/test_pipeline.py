@@ -158,7 +158,7 @@ class TestGreedySelectFrom:
         def batch_fn(prefix, remaining):
             return [tables[len(prefix)][d.query.id] for d in remaining]
 
-        chosen = greedy_select_from(make_input("a", "b"), cands, 2, batch_fn)
+        chosen = greedy_select_from(cands, 2, batch_fn)
         # step 0 ties q1/q2 at 3.0 and keeps q1; step 1 ties q0/q2 and keeps q0
         assert [d.query.id for d in chosen] == ["q1", "q0"]
 
@@ -169,21 +169,18 @@ class TestGreedySelectFrom:
             calls.append(1)
             return [0.0] * len(remaining)
 
-        assert greedy_select_from(make_input("a", "b"), self.make_candidates(3),
-                                  0, batch_fn) == []
+        assert greedy_select_from(self.make_candidates(3), 0, batch_fn) == []
         assert calls == []
 
     def test_k_beyond_pool_exhausts_candidates(self):
         cands = self.make_candidates(3)
-        chosen = greedy_select_from(make_input("a", "b"), cands, 10,
-                                    lambda prefix, rem: list(range(len(rem))))
+        chosen = greedy_select_from(cands, 10, lambda prefix, rem: list(range(len(rem))))
         assert len(chosen) == 3
         assert {d.query.id for d in chosen} == {"q0", "q1", "q2"}
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            greedy_select_from(make_input("a", "b"), self.make_candidates(2),
-                               -1, lambda prefix, rem: [])
+            greedy_select_from(self.make_candidates(2), -1, lambda prefix, rem: [])
 
     def test_greedy_select_validates_k_against_d(self):
         rng = np.random.default_rng(42)
@@ -258,7 +255,7 @@ class TestBruteForceBestList:
             inp = make_input(random_text(rng), random_text(rng))
             (best, _), _ = brute_force_best_list(inp, cands, 1, backend, template)
             chosen = greedy_select_from(
-                inp, cands, 1,
+                cands, 1,
                 lambda prefix, rem: [score_list(backend, template, prefix + [z], inp)
                                      for z in rem])
             assert [d.ref for d in chosen] == [d.ref for d in best]

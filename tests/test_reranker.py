@@ -17,7 +17,6 @@ from demorank.data import (
 )
 from demorank.reranker import (
     CrossEncoder,
-    DemoList,
     DependencySample,
     EmptyListError,
     RerankerTrainConfig,
@@ -36,12 +35,14 @@ from demorank.reranker import (
 from demorank.retriever import (
     EncoderConfig,
     NonFiniteLossError,
+    ScoredCandidate,
     demo_text,
     input_text,
+    score_candidates,
     snap_f32,
     text_features,
 )
-from demorank.scoring import MockScorer, PromptTemplate, score_list
+from demorank.scoring import LabelDistribution, MockScorer, PromptTemplate, score_list
 from demorank.synth import SynthParams, generate_synthetic_dataset
 
 WORDS = [
@@ -68,8 +69,8 @@ def random_sample(rng, n_prefix: int, n_continuations: int) -> DependencySample:
                    for i in range(n_prefix))
     scores = np.sort(rng.random(n_continuations))[::-1]
     conts = tuple(
-        DemoList(prefix + (make_demo(f"c{i}", random_text(rng), random_text(rng)),),
-                 float(scores[i]))
+        ScoredCandidate(make_demo(f"c{i}", random_text(rng), random_text(rng)),
+                        float(scores[i]))
         for i in range(n_continuations)
     )
     return DependencySample(inp, prefix, conts)
@@ -245,21 +246,13 @@ class TestDependencySample:
         with pytest.raises(ValueError, match="at least one continuation"):
             DependencySample(inp, (), ())
 
-    def test_rejects_prefix_mismatch(self):
-        rng = np.random.default_rng(42)
-        sample = random_sample(rng, 1, 2)
-        stranger = make_demo("zz", "zzz", "yyy")
-        bad = (DemoList((stranger, sample.continuations[0].demos[-1]), 0.9),)
-        with pytest.raises(ValueError, match="does not extend"):
-            DependencySample(sample.input, sample.prefix, bad)
-
     def test_rejects_duplicate_continuation_demo(self):
         rng = np.random.default_rng(42)
         sample = random_sample(rng, 0, 2)
         dup = sample.continuations[0]
         with pytest.raises(ValueError, match="duplicate"):
             DependencySample(sample.input, sample.prefix,
-                             (dup, DemoList(dup.demos, dup.llm_score - 0.1)))
+                             (dup, ScoredCandidate(dup.demo, dup.llm_score - 0.1)))
 
     def test_rejects_increasing_scores(self):
         rng = np.random.default_rng(42)
@@ -267,7 +260,7 @@ class TestDependencySample:
         c1, c2 = sample.continuations
         with pytest.raises(ValueError, match="non-increasing"):
             DependencySample(sample.input, sample.prefix,
-                             (DemoList(c1.demos, 0.1), DemoList(c2.demos, 0.9)))
+                             (ScoredCandidate(c1.demo, 0.1), ScoredCandidate(c2.demo, 0.9)))
 
 
 class TestConstructSamples:
@@ -307,8 +300,8 @@ class TestConstructSamples:
                 assert sample.shot == i + 1
                 assert len({d.ref for d in sample.prefix}) == i
                 for cont in sample.continuations:
-                    assert cont.demos[:-1] == sample.prefix
-                    assert cont.demos[-1].ref in retrieved_refs
+                    assert cont.demo not in sample.prefix
+                    assert cont.demo.ref in retrieved_refs
 
     def test_continuation_scores_match_backend(self):
         rng = np.random.default_rng(42)
@@ -320,8 +313,56 @@ class TestConstructSamples:
                                     np.random.default_rng(5))
         for sample in samples:
             for cont in sample.continuations:
-                expected = score_list(backend, template, list(cont.demos), inp)
+                expected = score_list(backend, template, [*sample.prefix, cont.demo], inp)
                 assert cont.llm_score == pytest.approx(expected, abs=1e-12)
+
+    def test_first_round_is_score_candidates_in_order(self):
+        rng = np.random.default_rng(42)
+        template = PromptTemplate()
+        backend = MockScorer()
+        for trial in range(10):
+            inp = make_input(random_text(rng), random_text(rng))
+            retrieved = self.make_retrieved(rng, 6)
+            first = construct_samples(inp, retrieved, backend, template, 2,
+                                      np.random.default_rng(trial))[0]
+            scored = score_candidates(backend, template, inp, retrieved)
+            assert first.prefix == ()
+            assert first.continuations == tuple(scored.candidates[i] for i in scored.order())
+
+    def test_score_candidates_without_prefix_matches_single_demo_scores(self):
+        rng = np.random.default_rng(42)
+        template = PromptTemplate()
+        backend = MockScorer()
+        inp = make_input(random_text(rng), random_text(rng))
+        retrieved = self.make_retrieved(rng, 7)
+        scored = score_candidates(backend, template, inp, retrieved, prefix=())
+        assert [c.demo for c in scored.candidates] == retrieved
+        assert [c.llm_score for c in scored.candidates] == \
+            [score_list(backend, template, [d], inp) for d in retrieved]
+
+    def test_tied_scores_keep_retrieval_order(self, monkeypatch):
+        class FixedScorer:
+            def distributions(self, requests):
+                return [LabelDistribution(0.6, 0.4) for _ in requests]
+
+        drawn_ranks = []
+
+        def spy(ranks, rng):
+            drawn_ranks.append(list(ranks))
+            return sample_by_rank(ranks, rng)
+
+        monkeypatch.setattr("demorank.reranker.sample_by_rank", spy)
+        rng = np.random.default_rng(42)
+        m, k = 6, 4
+        inp = make_input(random_text(rng), random_text(rng))
+        retrieved = self.make_retrieved(rng, m)
+        samples = construct_samples(inp, retrieved, FixedScorer(), PromptTemplate(), k,
+                                    np.random.default_rng(5))
+        for sample in samples:
+            unselected = [d for d in retrieved if d not in sample.prefix]
+            assert [c.demo for c in sample.continuations] == unselected
+            assert len({c.llm_score for c in sample.continuations}) == 1
+        assert drawn_ranks == [list(range(1, m - i + 1)) for i in range(k)]
 
     def test_iteration_bounds(self):
         rng = np.random.default_rng(42)
@@ -339,8 +380,8 @@ class TestConstructSamples:
         assert len(again) == len(toy_chain["samples"])
         for a, b in zip(again, toy_chain["samples"]):
             assert a.input.input_id == b.input.input_id
-            assert [c.demos[-1].ref for c in a.continuations] == \
-                [c.demos[-1].ref for c in b.continuations]
+            assert [c.demo.ref for c in a.continuations] == \
+                [c.demo.ref for c in b.continuations]
 
     def test_corpus_seed_changes_trajectories(self, toy_chain):
         other = construct_samples_for_corpus(
@@ -376,7 +417,7 @@ class TestListPairwiseLoss:
         model = CrossEncoder.init(EncoderConfig(vocab_buckets=64, dim=8), 4, 42)
         for _ in range(10):
             sample = random_sample(rng, int(rng.integers(0, 3)), int(rng.integers(2, 6)))
-            scores = [cross_score(model, sample.input, list(c.demos))
+            scores = [cross_score(model, sample.input, [*sample.prefix, c.demo])
                       for c in sample.continuations]
             expected = 0.0
             for i in range(len(scores)):
@@ -478,7 +519,8 @@ class TestTrainReranker:
     def test_featurizes_each_distinct_text_once(self, toy_chain):
         samples = toy_chain["samples"]
         texts = {input_text(s.input.query.text, s.input.passage.text) for s in samples}
-        texts |= {demo_text(d) for s in samples for c in s.continuations for d in c.demos}
+        texts |= {demo_text(d) for s in samples
+                  for d in (*s.prefix, *(c.demo for c in s.continuations))}
         model = CrossEncoder.init(toy_chain["config"], 8, 37)
         text_features.cache_clear()
         train_reranker(model, samples, RerankerTrainConfig(epochs=2), 41)
@@ -552,8 +594,8 @@ class TestSampleIO:
             assert back.input.input_id == orig.input.input_id
             assert back.shot == orig.shot
             assert tuple(d.ref for d in back.prefix) == tuple(d.ref for d in orig.prefix)
-            assert [c.demos[-1].ref for c in back.continuations] == \
-                [c.demos[-1].ref for c in orig.continuations]
+            assert [c.demo.ref for c in back.continuations] == \
+                [c.demo.ref for c in orig.continuations]
             assert [c.llm_score for c in back.continuations] == \
                 [c.llm_score for c in orig.continuations]
 

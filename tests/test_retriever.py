@@ -588,8 +588,7 @@ class TestRetrieveTopD:
         rng = np.random.default_rng(42)
         pool = make_pool(rng, 8)
         model = BiEncoder.init(EncoderConfig(vocab_buckets=32, dim=4), 42)
-        scaled = model.copy()
-        scaled.embeddings = scaled.embeddings * 3.0
+        scaled = BiEncoder(model.config, model.embeddings * 3.0)
         inp = make_input(random_text(rng), random_text(rng))
         base = retrieve_topD(DenseIndex.build(model, pool), model, inp, 8)
         resc = retrieve_topD(DenseIndex.build(scaled, pool), scaled, inp, 8)

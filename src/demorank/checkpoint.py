@@ -13,6 +13,7 @@ load reproduces scores bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -60,18 +61,24 @@ def _unpack(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
         meta = json.loads(blob[20:20 + meta_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointFormatError(f"bad metadata: {exc}") from exc
+    if not isinstance(meta, dict) or not isinstance(meta.get("tensors", []), list):
+        raise CheckpointFormatError("bad metadata: expected an object with a tensor list")
     payload = blob[20 + meta_len:]
     tensors: dict[str, np.ndarray] = {}
     for entry in meta.get("tensors", []):
-        shape = tuple(int(s) for s in entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = int(entry["offset"])
-        end = start + 4 * count
+        try:
+            name, start = entry["name"], int(entry["offset"])
+            shape = tuple(int(s) for s in entry["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointFormatError(f"bad tensor entry {entry!r}: {exc!r}") from exc
+        if not isinstance(name, str) or min(shape, default=0) < 0:
+            raise CheckpointFormatError(f"bad tensor entry {entry!r}")
+        end = start + 4 * math.prod(shape)
         if start < 0 or end > len(payload):
             raise CheckpointFormatError(
-                f"tensor {entry['name']!r} overruns payload ({start}:{end} of {len(payload)})")
+                f"tensor {name!r} overruns payload ({start}:{end} of {len(payload)})")
         arr = np.frombuffer(payload[start:end], dtype="<f4").reshape(shape)
-        tensors[entry["name"]] = arr.astype(np.float64)
+        tensors[name] = arr.astype(np.float64)
     return meta, tensors
 
 

@@ -15,7 +15,6 @@ lists sharing a prefix.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -25,15 +24,14 @@ import numpy as np
 from .data import Demonstration, RefResolver, TrainingInput, read_jsonl, write_jsonl
 from .retriever import (
     EncoderConfig,
-    NonFiniteLossError,
     ScoredCandidate,
     demo_text,
+    descend,
     encoding_cache,
     feats_rows,
     input_text,
     scatter_feats,
     score_candidates,
-    sgd_rows,
     snap_f32,
     stable_sigmoid,
     text_features,
@@ -42,8 +40,6 @@ from .retriever import (
 # (which wraps every module alias) expects.
 from .retriever import encode_feats  # noqa: F401
 from .scoring import PromptTemplate, ScorerBackend
-
-logger = logging.getLogger(__name__)
 
 # Initialization scales for CrossEncoder.init.  NOMINAL_TOKENS_PER_TEXT is the
 # token count the block scales are normalized against; texts of a different
@@ -96,11 +92,6 @@ class CrossEncoder:
                    snap_f32(rng.uniform(-B1_INIT_SCALE, B1_INIT_SCALE, size=hidden)),
                    snap_f32(rng.uniform(-1.0, 1.0, size=hidden) / math.sqrt(hidden)),
                    snap_f32(np.zeros(1)))
-
-    def copy(self) -> "CrossEncoder":
-        return CrossEncoder(self.config, self.hidden, self.embeddings.copy(),
-                            self.w1.copy(), self.b1.copy(), self.w2.copy(),
-                            self.b2.copy())
 
 
 @dataclass(frozen=True)
@@ -402,28 +393,12 @@ def train_reranker(model: CrossEncoder, samples: list[DependencySample],
     for s in samples:
         groups.setdefault(s.input.input_id, []).append(s)
     keys = sorted(groups)
-    rows = [_group_rows(groups[key], model.config.vocab_buckets) for key in keys]
-    trained = model.copy()
-    # on the float32 grid from the start, as sgd_rows leaves untouched rows alone
-    trained.embeddings = snap_f32(model.embeddings)
-    rng = np.random.default_rng(seed)
-    for epoch in range(cfg.epochs):
-        total = 0.0
-        for gi in rng.permutation(len(keys)):
-            group = groups[keys[gi]]
-            loss, grads = reranker_loss_and_grads(
-                trained, group, cfg.max_pairs_per_sample,
-                np.random.default_rng(seed + 7919 * int(gi)))
-            if not np.isfinite(loss):
-                raise NonFiniteLossError("reranker", epoch, keys[gi], loss)
-            total += loss
-            sgd_rows(trained.embeddings, grads["embeddings"], rows[gi], cfg.learning_rate)
-            trained.w1 = snap_f32(trained.w1 - cfg.learning_rate * grads["w1"])
-            trained.b1 = snap_f32(trained.b1 - cfg.learning_rate * grads["b1"])
-            trained.w2 = snap_f32(trained.w2 - cfg.learning_rate * grads["w2"])
-            trained.b2 = snap_f32(trained.b2 - cfg.learning_rate * grads["b2"])
-        logger.info("reranker epoch %d total loss %.6f", epoch, total)
-    return trained
+    return descend(model, keys,
+                   [_group_rows(groups[key], model.config.vocab_buckets) for key in keys],
+                   lambda trained, i: reranker_loss_and_grads(
+                       trained, groups[keys[i]], cfg.max_pairs_per_sample,
+                       np.random.default_rng(seed + 7919 * i)),
+                   cfg.learning_rate, cfg.epochs, seed, "reranker")
 
 
 # ---------------------------------------------------------------------------

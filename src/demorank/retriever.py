@@ -14,7 +14,7 @@ while all arithmetic runs in float64.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, lru_cache
 from typing import Callable
 
@@ -307,6 +307,33 @@ def _set_features(cand_set: ScoredCandidateSet, buckets: int):
     return input_feats, demo_feats
 
 
+def descend(model, keys: list[str], rows: list[np.ndarray],
+            loss_and_grads: Callable[[object, int], tuple[float, dict]],
+            learning_rate: float, epochs: int, seed: int, name: str):
+    """Seeded gradient descent on a float32-grid copy of `model`: the one training loop.
+
+    Each epoch runs `loss_and_grads(trained, i)` once per step index i, in a
+    seeded permutation, then steps the table over `rows[i]` and reassigns
+    every other parameter with a gradient, never updating it in place: the
+    copy shares those arrays with `model`, which stays untouched.
+    """
+    trained = replace(model, embeddings=snap_f32(model.embeddings))
+    rng = np.random.default_rng(seed)
+    for epoch in range(epochs):
+        total = 0.0
+        for i in rng.permutation(len(keys)).tolist():
+            loss, grads = loss_and_grads(trained, i)
+            if not np.isfinite(loss):
+                raise NonFiniteLossError(name, epoch, keys[i], loss)
+            total += loss
+            sgd_rows(trained.embeddings, grads["embeddings"], rows[i], learning_rate)
+            for param, g in grads.items():
+                if param != "embeddings":
+                    setattr(trained, param, snap_f32(getattr(trained, param) - learning_rate * g))
+        logger.info("%s epoch %d mean loss %.6f", name, epoch, total / len(keys))
+    return trained
+
+
 def train_retriever(model: BiEncoder, sets: list[ScoredCandidateSet],
                     cfg: RetrieverTrainConfig = RetrieverTrainConfig(),
                     seed: int = 0) -> BiEncoder:
@@ -317,26 +344,16 @@ def train_retriever(model: BiEncoder, sets: list[ScoredCandidateSet],
     """
     if not sets:
         raise ValueError("no training sets")
-    # on the float32 grid from the start, as sgd_rows leaves untouched rows alone
-    trained = BiEncoder(model.config, snap_f32(model.embeddings))
-    rng = np.random.default_rng(seed)
-    prepared = []
-    for s in sets:
-        input_feats, demo_feats = _set_features(s, model.config.vocab_buckets)
-        rows = feats_rows([input_feats, *demo_feats])
-        prepared.append((s, input_feats, demo_feats, s.positive_index(), s.ranks(), rows))
-    for epoch in range(cfg.epochs):
-        total = 0.0
-        for idx in rng.permutation(len(prepared)):
-            cand_set, input_feats, demo_feats, pos, ranks, rows = prepared[idx]
-            loss, grad = set_loss_and_grad(trained.embeddings, input_feats,
-                                           demo_feats, pos, ranks, cfg.lam)
-            if not np.isfinite(loss):
-                raise NonFiniteLossError("retriever", epoch, cand_set.input.input_id, loss)
-            total += loss
-            sgd_rows(trained.embeddings, grad, rows, cfg.learning_rate)
-        logger.info("retriever epoch %d mean loss %.6f", epoch, total / len(prepared))
-    return trained
+    feats = [_set_features(s, model.config.vocab_buckets) for s in sets]
+
+    def step(trained: BiEncoder, i: int) -> tuple[float, dict]:
+        loss, grad = set_loss_and_grad(trained.embeddings, *feats[i], sets[i].positive_index(),
+                                       sets[i].ranks(), cfg.lam)
+        return loss, {"embeddings": grad}
+
+    return descend(model, [s.input.input_id for s in sets],
+                   [feats_rows([inp, *demos]) for inp, demos in feats], step,
+                   cfg.learning_rate, cfg.epochs, seed, "retriever")
 
 
 def retriever_corpus_loss(model: BiEncoder, sets: list[ScoredCandidateSet],

@@ -20,6 +20,7 @@ passage of a query the same demonstrations.  With per-query selection the
 same fixture gives random 0.9605, retriever-topk 0.9492 and demorank 0.9576.
 """
 
+import dataclasses
 import json
 import math
 import random
@@ -316,8 +317,7 @@ class TestAcceptanceCriteria:
                          - ranknet_loss_and_grad(scores, ranks)[0])
         model2 = CrossEncoder.init(EncoderConfig(vocab_buckets=64, dim=8), 4, 42)
         samples2 = [random_sample(rng, 1, 4) for _ in range(5)]
-        shifted = model2.copy()
-        shifted.b2 = shifted.b2 + 11.25
+        shifted = dataclasses.replace(model2, b2=model2.b2 + 11.25)
         d_shift_lp = abs(list_pairwise_loss(shifted, samples2)
                          - list_pairwise_loss(model2, samples2))
         ok = (d_ln_n <= 1e-9 and d_pair <= 1e-12 and d_list <= 1e-9

@@ -112,6 +112,23 @@ class TestContainer:
             load_checkpoint(path)
 
 
+    @pytest.mark.parametrize("meta", [
+        {"tensors": [{"name": "t", "shape": [-1, 2], "offset": 0}]},
+        [],
+        {"tensors": [{"name": "t", "offset": 0}]},
+        {"tensors": [{"name": "t", "shape": [2], "offset": "a"}]},
+        {"tensors": 5},
+        {"tensors": [{"name": ["t"], "shape": [2], "offset": 0}]},
+    ], ids=["negative-dim", "list-metadata", "missing-shape", "non-int-offset",
+            "non-list-tensors", "non-string-name"])
+    def test_bad_tensor_metadata_rejected(self, tmp_path, meta):
+        path = tmp_path / "bad.ckpt"
+        meta_bytes = json.dumps(meta).encode()
+        path.write_bytes(MAGIC + (1).to_bytes(4, "little")
+                         + len(meta_bytes).to_bytes(8, "little") + meta_bytes + b"\x00" * 8)
+        with pytest.raises(CheckpointFormatError, match="bad (metadata|tensor entry)"):
+            load_checkpoint(path)
+
 class TestRetrieverCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(42)

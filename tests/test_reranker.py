@@ -1,5 +1,6 @@
 """Tests for the dependency-aware cross-encoder reranker."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -431,8 +432,7 @@ class TestListPairwiseLoss:
         model = CrossEncoder.init(EncoderConfig(vocab_buckets=64, dim=8), 4, 42)
         samples = [random_sample(rng, 1, 4) for _ in range(5)]
         base = list_pairwise_loss(model, samples)
-        shifted = model.copy()
-        shifted.b2 = shifted.b2 + 11.25
+        shifted = dataclasses.replace(model, b2=model.b2 + 11.25)
         assert list_pairwise_loss(shifted, samples) == pytest.approx(base, abs=1e-9)
 
     def test_pair_cap_at_or_above_total_changes_nothing(self):
@@ -507,14 +507,14 @@ class TestTrainReranker:
 
     def test_deterministic_and_leaves_input_untouched(self, toy_chain):
         model = CrossEncoder.init(toy_chain["config"], 8, 37)
-        before = model.embeddings.copy()
+        names = ("embeddings", "w1", "b1", "w2", "b2")
+        before = {name: getattr(model, name).copy() for name in names}
         cfg = RerankerTrainConfig(epochs=1)
         a = train_reranker(model, toy_chain["samples"], cfg, 41)
         b = train_reranker(model, toy_chain["samples"], cfg, 41)
-        np.testing.assert_array_equal(a.embeddings, b.embeddings)
-        np.testing.assert_array_equal(a.w1, b.w1)
-        np.testing.assert_array_equal(a.w2, b.w2)
-        np.testing.assert_array_equal(model.embeddings, before)
+        for name in names:
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+            np.testing.assert_array_equal(getattr(model, name), before[name])
 
     def test_featurizes_each_distinct_text_once(self, toy_chain):
         samples = toy_chain["samples"]

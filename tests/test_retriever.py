@@ -18,6 +18,7 @@ from demorank.retriever import (
     contrastive_loss_and_grad,
     contrastive_set_loss_and_grad,
     demo_text,
+    descend,
     encode,
     encode_feats,
     encoding_cache,
@@ -508,6 +509,53 @@ class TestTrainRetriever:
             RetrieverTrainConfig(epochs=0)
         with pytest.raises(ValueError):
             RetrieverTrainConfig(lam=-0.1)
+
+
+class TestDescend:
+    KEYS = ["a", "b", "c", "d", "e"]
+
+    def run(self, step, rows=None, epochs=3):
+        model = BiEncoder.init(EncoderConfig(vocab_buckets=16, dim=4), 42)
+        rows = rows if rows is not None else [np.array([i]) for i in range(len(self.KEYS))]
+        return model, descend(model, self.KEYS, rows, step, 0.1, epochs, 7, "test")
+
+    def test_each_epoch_visits_every_step_in_seeded_permutation_order(self, caplog):
+        visited = []
+
+        def step(trained, i):
+            visited.append(i)
+            return float(i), {"embeddings": np.zeros_like(trained.embeddings)}
+
+        with caplog.at_level(logging.INFO, logger="demorank.retriever"):
+            self.run(step)
+        rng = np.random.default_rng(7)
+        assert visited == [i for _ in range(3) for i in rng.permutation(5).tolist()]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"test epoch {e} mean loss 2.000000" for e in range(3)]
+
+    def test_rows_outside_the_step_keep_their_bits(self):
+        rows = [np.array([1, 3]), np.array([5]), np.array([1]), np.array([8]), np.array([3])]
+
+        def step(trained, i):
+            return 0.0, {"embeddings": np.ones_like(trained.embeddings)}
+
+        model, trained = self.run(step, rows)
+        touched = [1, 3, 5, 8]
+        others = np.setdiff1d(np.arange(16), touched)
+        np.testing.assert_array_equal(trained.embeddings[others].view(np.uint64),
+                                      model.embeddings[others].view(np.uint64))
+        assert not np.any(trained.embeddings[touched] == model.embeddings[touched])
+        fresh = BiEncoder.init(EncoderConfig(vocab_buckets=16, dim=4), 42)
+        np.testing.assert_array_equal(model.embeddings, fresh.embeddings)  # input untouched
+
+    def test_non_finite_loss_names_the_step_key(self):
+        def step(trained, i):
+            return math.inf if i == 2 else 0.0, {"embeddings": np.zeros_like(trained.embeddings)}
+
+        with pytest.raises(NonFiniteLossError,
+                           match="non-finite test loss at epoch 0 on c: inf") as exc:
+            self.run(step)
+        assert exc.value.model == "test"
 
 
 class TestDeskScaleTraining:

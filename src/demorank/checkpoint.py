@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .retriever import BiEncoder, EncoderConfig
+from .retriever import BiEncoder
 from .reranker import CrossEncoder
 
 MAGIC = b"DEMORANK"
@@ -48,6 +48,11 @@ def _pack(metadata: dict, tensors: list[tuple[str, np.ndarray]]) -> bytes:
     return head + meta_bytes + bytes(payload)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: json loads 8.0 as a float and true as a bool (an int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _unpack(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     if len(blob) < 20 or blob[:8] != MAGIC:
         raise CheckpointFormatError("not a checkpoint: bad magic")
@@ -67,14 +72,13 @@ def _unpack(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     tensors: dict[str, np.ndarray] = {}
     for entry in meta.get("tensors", []):
         try:
-            name, start = entry["name"], int(entry["offset"])
-            shape = tuple(int(s) for s in entry["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
+            name, start, shape = entry["name"], entry["offset"], tuple(entry["shape"])
+        except (KeyError, TypeError) as exc:
             raise CheckpointFormatError(f"bad tensor entry {entry!r}: {exc!r}") from exc
-        if not isinstance(name, str) or min(shape, default=0) < 0:
+        if not isinstance(name, str) or not all(_is_int(n) and n >= 0 for n in (start, *shape)):
             raise CheckpointFormatError(f"bad tensor entry {entry!r}")
         end = start + 4 * math.prod(shape)
-        if start < 0 or end > len(payload):
+        if end > len(payload):
             raise CheckpointFormatError(
                 f"tensor {name!r} overruns payload ({start}:{end} of {len(payload)})")
         arr = np.frombuffer(payload[start:end], dtype="<f4").reshape(shape)
@@ -97,24 +101,30 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
 
 def _shapes(meta: dict) -> dict[str, tuple[int, ...]]:
     """Each tensor a checkpoint of this kind holds, in payload order, with the
-    shape its metadata implies."""
-    v, d = int(meta["vocab_buckets"]), int(meta["dim"])
+    shape its metadata implies; the one reader of the metadata dimensions."""
+    keys = ("vocab_buckets", "dim") + (("hidden",) if meta["kind"] == "cross_encoder" else ())
+    for key in keys:
+        if not (_is_int(meta.get(key)) and meta[key] > 0):
+            raise CheckpointFormatError(
+                f"bad metadata: {key} must be a positive integer, got {meta.get(key)!r}")
+    v, d = meta["vocab_buckets"], meta["dim"]
     if meta["kind"] == "bi_encoder":
         return {"embeddings": (v, d)}
-    h = int(meta["hidden"])
+    h = meta["hidden"]
     return {"embeddings": (v, d), "w1": (h, 4 * d), "b1": (h,), "w2": (h,), "b2": (1,)}
 
 
 def _save_model(path, model, kind_meta: dict, config_digest: str) -> None:
     """Save `model`'s tensors under `kind_meta` (its kind and any dimension of
-    its own) plus the encoder dimensions, hash scheme and config digest."""
-    meta = {**kind_meta, "vocab_buckets": model.config.vocab_buckets, "dim": model.config.dim,
+    its own) plus the table's dimensions, hash scheme and config digest."""
+    v, d = model.embeddings.shape
+    meta = {**kind_meta, "vocab_buckets": v, "dim": d,
             "hash": HASH_SCHEME, "config_digest": config_digest}
     save_checkpoint(path, meta, [(name, getattr(model, name)) for name in _shapes(meta)])
 
 
-def _load_model(path, kind: str) -> tuple[EncoderConfig, list[np.ndarray], dict]:
-    """The encoder config and the tensors in `_shapes` order, each checked."""
+def _load_model(path, kind: str) -> tuple[list[np.ndarray], dict]:
+    """The tensors in `_shapes` order, each checked, and the metadata."""
     meta, tensors = load_checkpoint(path)
     if meta.get("kind") != kind:
         raise CheckpointFormatError(f"expected a {kind} checkpoint, got {meta.get('kind')!r}")
@@ -123,8 +133,7 @@ def _load_model(path, kind: str) -> tuple[EncoderConfig, list[np.ndarray], dict]
         got = tensors[name].shape if name in tensors else "missing"
         if got != shape:
             raise CheckpointFormatError(f"{name} shape {got} does not match metadata {shape}")
-    config = EncoderConfig(int(meta["vocab_buckets"]), int(meta["dim"]))
-    return config, [tensors[name] for name in shapes], meta
+    return [tensors[name] for name in shapes], meta
 
 
 def save_retriever(path, model: BiEncoder, config_digest: str = "") -> None:
@@ -132,14 +141,14 @@ def save_retriever(path, model: BiEncoder, config_digest: str = "") -> None:
 
 
 def load_retriever(path) -> tuple[BiEncoder, dict]:
-    config, (emb,), meta = _load_model(path, "bi_encoder")
-    return BiEncoder(config, emb), meta
+    (emb,), meta = _load_model(path, "bi_encoder")
+    return BiEncoder(emb), meta
 
 
 def save_reranker(path, model: CrossEncoder, config_digest: str = "") -> None:
-    _save_model(path, model, {"kind": "cross_encoder", "hidden": model.hidden}, config_digest)
+    _save_model(path, model, {"kind": "cross_encoder", "hidden": len(model.w1)}, config_digest)
 
 
 def load_reranker(path) -> tuple[CrossEncoder, dict]:
-    config, arrays, meta = _load_model(path, "cross_encoder")
-    return CrossEncoder(config, int(meta["hidden"]), *arrays), meta
+    arrays, meta = _load_model(path, "cross_encoder")
+    return CrossEncoder(*arrays), meta

@@ -265,7 +265,7 @@ class Workspace:
         cached = scoring.CachedScorer(inner)
         if self.score_cache and self.score_cache.exists():
             try:
-                cached.cache.load(self.score_cache)
+                cached.cache.load(self.score_cache, cached.scope)
             except (OSError, ValueError) as exc:
                 raise ArtifactError(
                     f"score cache {self.score_cache} is unreadable ({exc}); "

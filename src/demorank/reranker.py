@@ -56,8 +56,6 @@ class EmptyListError(ValueError):
 
 @dataclass
 class CrossEncoder:
-    config: EncoderConfig
-    hidden: int
     embeddings: np.ndarray  # (vocab_buckets, dim)
     w1: np.ndarray  # (hidden, 4 * dim)
     b1: np.ndarray  # (hidden,)
@@ -88,7 +86,7 @@ class CrossEncoder:
             scale = PREACT_TARGET * math.sqrt(3.0) / (2.0 * s_block * math.sqrt(d))
             w1[:, block * d:(block + 1) * d] = rng.uniform(-scale, scale,
                                                            size=(hidden, d))
-        return cls(config, hidden, embeddings, snap_f32(w1),
+        return cls(embeddings, snap_f32(w1),
                    snap_f32(rng.uniform(-B1_INIT_SCALE, B1_INIT_SCALE, size=hidden)),
                    snap_f32(rng.uniform(-1.0, 1.0, size=hidden) / math.sqrt(hidden)),
                    snap_f32(np.zeros(1)))
@@ -142,7 +140,7 @@ def _backward(model: CrossEncoder, lists: _Lists, h: np.ndarray,
     Table rows receive the input's, then each prefix demo's, then each last
     demo's contribution, in that order.
     """
-    d = model.config.dim
+    d = len(lists.e_input)
     ga = gscore[:, None] * model.w2[None, :] * (1.0 - h * h)
     grads["w1"] += ga.T @ lists.x
     grads["b1"] += ga.sum(axis=0)
@@ -155,7 +153,7 @@ def _backward(model: CrossEncoder, lists: _Lists, h: np.ndarray,
     g_lasts = gx[:, 2 * d:3 * d] + gx[:, 3 * d:] * lists.e_input[None, :]
 
     table_grad = grads["embeddings"]
-    buckets = model.config.vocab_buckets
+    buckets = len(table_grad)
     scatter_feats(table_grad, text_features(lists.input_text, buckets), g_input)
     if lists.prefix_texts:
         g_each = g_prefix / len(lists.prefix_texts)
@@ -394,7 +392,7 @@ def train_reranker(model: CrossEncoder, samples: list[DependencySample],
         groups.setdefault(s.input.input_id, []).append(s)
     keys = sorted(groups)
     return descend(model, keys,
-                   [_group_rows(groups[key], model.config.vocab_buckets) for key in keys],
+                   [_group_rows(groups[key], len(model.embeddings)) for key in keys],
                    lambda trained, i: reranker_loss_and_grads(
                        trained, groups[keys[i]], cfg.max_pairs_per_sample,
                        np.random.default_rng(seed + 7919 * i)),

@@ -86,14 +86,13 @@ INIT_SCALE = 0.05
 
 @dataclass
 class BiEncoder:
-    config: EncoderConfig
     embeddings: np.ndarray  # (vocab_buckets, dim)
 
     @classmethod
     def init(cls, config: EncoderConfig, seed: int) -> "BiEncoder":
         rng = np.random.default_rng(seed)
         table = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(config.vocab_buckets, config.dim))
-        return cls(config, snap_f32(table))
+        return cls(snap_f32(table))
 
 
 def encode_feats(table: np.ndarray, feats: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -144,7 +143,7 @@ def encoding_cache(table: np.ndarray) -> Callable[[str], np.ndarray]:
 
 
 def encode(model: BiEncoder, text: str) -> np.ndarray:
-    return encode_feats(model.embeddings, text_features(text, model.config.vocab_buckets))
+    return encode_feats(model.embeddings, text_features(text, len(model.embeddings)))
 
 
 def similarity(model: BiEncoder, input, demo: Demonstration) -> float:
@@ -344,7 +343,7 @@ def train_retriever(model: BiEncoder, sets: list[ScoredCandidateSet],
     """
     if not sets:
         raise ValueError("no training sets")
-    feats = [_set_features(s, model.config.vocab_buckets) for s in sets]
+    feats = [_set_features(s, len(model.embeddings)) for s in sets]
 
     def step(trained: BiEncoder, i: int) -> tuple[float, dict]:
         loss, grad = set_loss_and_grad(trained.embeddings, *feats[i], sets[i].positive_index(),
@@ -360,7 +359,7 @@ def retriever_corpus_loss(model: BiEncoder, sets: list[ScoredCandidateSet],
                           lam: float) -> float:
     total = 0.0
     for s in sets:
-        input_feats, demo_feats = _set_features(s, model.config.vocab_buckets)
+        input_feats, demo_feats = _set_features(s, len(model.embeddings))
         loss, _ = set_loss_and_grad(model.embeddings, input_feats, demo_feats,
                                     s.positive_index(), s.ranks(), lam)
         total += loss

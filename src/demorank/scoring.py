@@ -380,9 +380,10 @@ class ScoreCache:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(snapshot, fh)
 
-    def load(self, path) -> None:
-        """Merge a saved cache; ValueError if the file is not one, or if an
-        entry is not a distribution `LabelDistribution` accepts."""
+    def load(self, path, scope: str = "") -> None:
+        """Merge a saved cache's entries under `scope` (a `CachedScorer.scope`),
+        so a save drops other scorers'; ValueError if the file is not a cache
+        or any entry is not a distribution `LabelDistribution` accepts."""
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
         try:  # a JSON value that unpacks into two numbers is a [number, number] list
@@ -391,22 +392,22 @@ class ScoreCache:
         except (ArithmeticError, AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"not a JSON object of [p_yes, p_no] pairs: {exc}") from exc
         with self._lock:
-            self._store.update(entries)
+            self._store.update((k, d) for k, d in entries.items() if k.startswith(scope))
 
 
 class CachedScorer:
     """Read-through cache around any backend; identical values either way.
 
-    Entries are keyed on the backend's identity (its `identity()`, else its
-    class name) plus the request digest, so one cache shared by differently
-    configured scorers never serves one scorer's values to another.
+    Entries are keyed on `scope`, from the backend's identity (its `identity()`,
+    else its class name), plus the request digest, so one cache shared by
+    differently configured scorers never serves one scorer's values to another.
     """
 
     def __init__(self, backend: ScorerBackend, cache: ScoreCache | None = None) -> None:
         self.backend = backend
         self.cache = cache if cache is not None else ScoreCache()
         identity = getattr(backend, "identity", lambda: type(backend).__qualname__)()
-        self._scope = sha256(identity.encode("utf-8")).hexdigest()[:16] + ":"
+        self.scope = sha256(identity.encode("utf-8")).hexdigest()[:16] + ":"
 
     def distribution(self, request: ScoreRequest) -> LabelDistribution:
         return self.distributions([request])[0]
@@ -416,7 +417,7 @@ class CachedScorer:
         first-seen order, and stores each result as it arrives, so the cache
         holds the same entries in the same order as one request at a time, and
         keeps every result that came before a backend failure."""
-        keys = [self._scope + r.digest() for r in requests]
+        keys = [self.scope + r.digest() for r in requests]
         found: dict[str, LabelDistribution] = {}
         missing: dict[str, ScoreRequest] = {}
         for key, request in zip(keys, requests):

@@ -569,6 +569,23 @@ class TestScoreCache:
                        global_args=("--force",)) == 0
         assert (workdir / "scored.jsonl").read_bytes() == cached
 
+    def test_cache_file_holds_only_the_last_scorers_entries(self, tmp_path, capsys):
+        """A run under another scorer replaces the file's entries: it keeps
+        only the keys it could hit."""
+        cache_path = tmp_path / "scores.cache"
+        for name, overrides in (("a", None), ("b", {"scorer": {"mock_rel": 5.0}})):
+            (tmp_path / name).mkdir()
+            config_path = write_config(tmp_path / name, overrides)
+            workdir = tmp_path / name / "work"
+            build_chain(config_path, workdir, upto="mine-candidates")
+            assert run_cli(config_path, workdir, "score-candidates",
+                           global_args=("--score-cache", str(cache_path))) == 0
+        scores = int(re.search(r"score-candidates: (\d+) scores",
+                               capsys.readouterr().out.splitlines()[-1]).group(1))
+        keys = json.loads(cache_path.read_text())
+        assert len({key.split(":")[0] for key in keys}) == 1
+        assert len(keys) == scores > 0
+
     def test_cache_is_shared_across_format_keys(self, tmp_path, capsys):
         """The format keys reach no scorer, so they split no cache key."""
         cache_path = tmp_path / "scores.cache"

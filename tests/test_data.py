@@ -259,6 +259,24 @@ class TestFileRoundTrips:
         line = (tmp_path / "qrels.tsv").read_text().splitlines()[0]
         assert line.split("\t") == ["q0", "0", "p0", "1"]
 
+    def test_qrels_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "qrels.tsv"
+        path.write_text("q0\t0\tp0\t1\n\n  \nq1\t0\tp1\t0\n")
+        assert load_qrels(path) == [RelJudgment("q0", "p0", 1), RelJudgment("q1", "p1", 0)]
+
+    @pytest.mark.parametrize("line, error", [
+        ("q0\t0\tp0", "expected 4 tab-separated fields"),
+        ("q0\t0\tp0\t1\t1", "expected 4 tab-separated fields"),
+        ("q0 0 p0 1", "expected 4 tab-separated fields"),
+        ("q0\t0\tp0\thigh", "bad grade 'high'"),
+        ("q0\t0\tp0\t1.5", "bad grade '1.5'"),
+    ])
+    def test_malformed_qrels_line_is_a_corpus_error_naming_it(self, tmp_path, line, error):
+        path = tmp_path / "qrels.tsv"
+        path.write_text(f"q0\t0\tp0\t1\n{line}\n")
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:2: {error}"):
+            load_qrels(path)
+
     def test_pool_round_trip(self, tmp_path):
         ds = make_dataset()
         pool = build_pool(ds, rng_seed=42)

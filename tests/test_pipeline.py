@@ -386,6 +386,14 @@ class TestRunPolicy:
             assert set(per_query) == judged
             assert excluded == []
 
+    def test_query_without_judged_passages_is_skipped(self, policy_world):
+        synth, ctx = policy_world
+        # sorts after every synthetic id, so no other query's seed moves
+        unjudged = dataclasses.replace(
+            synth.test, queries=[*synth.test.queries, Query("~unjudged", "coral reef")])
+        for policy in POLICIES:
+            assert run_policy(policy, unjudged, ctx, 43) == run_policy(policy, synth.test, ctx, 43)
+
     def test_zero_shot_matches_direct_ranking(self, policy_world):
         synth, ctx = policy_world
         entries = run_policy("zero-shot", synth.test, ctx, 43)

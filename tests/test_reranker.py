@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from demorank import reranker, retriever
 from demorank.bm25 import build_pool_index, mine_candidates
 from demorank.data import (
     Demonstration,
@@ -34,6 +35,7 @@ from demorank.reranker import (
     write_samples,
 )
 from demorank.retriever import (
+    BiEncoder,
     EncoderConfig,
     NonFiniteLossError,
     ScoredCandidate,
@@ -42,6 +44,7 @@ from demorank.retriever import (
     score_candidates,
     snap_f32,
     text_features,
+    train_retriever,
 )
 from demorank.scoring import LabelDistribution, MockScorer, PromptTemplate, score_list
 from demorank.synth import SynthParams, generate_synthetic_dataset
@@ -122,11 +125,9 @@ def hand_model() -> CrossEncoder:
     2.0 except the bucket of token "a", which is 1.0.  With 8 buckets the
     tokens "a", "b", "yes", and "no" land in buckets 4, 5, 0, and 2, so any
     text avoiding "a" encodes to exactly 2.0 and "a a" encodes to 1.0."""
-    config = EncoderConfig(vocab_buckets=8, dim=1)
     table = np.full((8, 1), 2.0)
     table[4, 0] = 1.0
-    return CrossEncoder(config, 1, table,
-                        w1=np.ones((1, 4)), b1=np.zeros(1),
+    return CrossEncoder(table, w1=np.ones((1, 4)), b1=np.zeros(1),
                         w2=np.ones(1), b2=np.zeros(1))
 
 
@@ -549,6 +550,42 @@ class TestTrainReranker:
         model.embeddings = model.embeddings + 1e-10
         trained = train_reranker(model, toy_chain["samples"], cfg, 41)
         np.testing.assert_array_equal(trained.embeddings, snap_f32(trained.embeddings))
+
+
+class TestStepRowsCoverGradients:
+    """`descend` steps only `rows[i]` of the table, so each trainer's rows
+    must hold every row its step's gradient touches."""
+
+    @pytest.fixture
+    def checked_descend(self, monkeypatch):
+        steps = []
+        real = retriever.descend
+
+        def spy(model, keys, rows, loss_and_grads, *args):
+            def checked(trained, i):
+                loss, grads = loss_and_grads(trained, i)
+                touched = np.flatnonzero(np.any(grads["embeddings"] != 0, axis=1))
+                assert len(touched) and np.isin(touched, rows[i]).all(), keys[i]
+                steps.append(keys[i])
+                return loss, grads
+            return real(model, keys, rows, checked, *args)
+
+        monkeypatch.setattr(retriever, "descend", spy)
+        monkeypatch.setattr(reranker, "descend", spy)
+        return steps
+
+    def test_retriever(self, toy_chain, checked_descend):
+        sets = [score_candidates(toy_chain["backend"], toy_chain["template"], inp, demos)
+                for inp, demos in zip(toy_chain["inputs"], toy_chain["retrieved"])]
+        model = BiEncoder.init(toy_chain["config"], 23)
+        train_retriever(model, sets, retriever.RetrieverTrainConfig(epochs=2), 7)
+        assert len(checked_descend) == 2 * len(sets)
+
+    def test_reranker(self, toy_chain, checked_descend):
+        samples = toy_chain["samples"]
+        model = CrossEncoder.init(toy_chain["config"], 8, 37)
+        train_reranker(model, samples, RerankerTrainConfig(epochs=2), 41)
+        assert len(checked_descend) == 2 * len({s.input.input_id for s in samples})
 
 
 class TestDeskScaleReranker:

@@ -473,7 +473,7 @@ class TestTrainRetriever:
         trained = train_retriever(model, sets, RetrieverTrainConfig(), 7)
         np.testing.assert_array_equal(trained.embeddings, snap_f32(trained.embeddings))
         # also from a table off the grid, including rows no step touches
-        off_grid = BiEncoder(model.config, model.embeddings + 1e-10)
+        off_grid = BiEncoder(model.embeddings + 1e-10)
         trained = train_retriever(off_grid, sets, RetrieverTrainConfig(), 7)
         np.testing.assert_array_equal(trained.embeddings, snap_f32(trained.embeddings))
 
@@ -636,7 +636,7 @@ class TestRetrieveTopD:
         rng = np.random.default_rng(42)
         pool = make_pool(rng, 8)
         model = BiEncoder.init(EncoderConfig(vocab_buckets=32, dim=4), 42)
-        scaled = BiEncoder(model.config, model.embeddings * 3.0)
+        scaled = BiEncoder(model.embeddings * 3.0)
         inp = make_input(random_text(rng), random_text(rng))
         base = retrieve_topD(DenseIndex.build(model, pool), model, inp, 8)
         resc = retrieve_topD(DenseIndex.build(scaled, pool), scaled, inp, 8)

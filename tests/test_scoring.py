@@ -139,6 +139,15 @@ class TestMockScorer:
         assert dist.p_yes == pytest.approx(sigmoid(-1.0), abs=1e-12)
         assert dist.p_yes == pytest.approx(0.2689414213699951, abs=1e-12)
 
+    def test_texts_without_tokens_have_no_overlap(self):
+        # No text holds a word, and the Jaccard of two empty sets is 0: rel = 0,
+        # div = 1 - 0 = 1, one Yes and one No give bal = 1, overlap = 0, so
+        # p_yes = sigmoid(2 * (0 + 1 + 1) - 1).
+        scorer = MockScorer()
+        demos = [demo("?", "", "Yes"), demo("", "...", "No")]
+        dist = scorer.distribution(request(demos, "", "!"))
+        assert dist.p_yes == pytest.approx(sigmoid(3.0), abs=1e-12)
+
     def test_overlap_above_threshold_flips_sign(self):
         # Query {a, b, c} vs passage {a, b, d}: Jaccard 2/4 = 0.5 > 0.2,
         # so the pair counts as relevant: p_yes = sigmoid(-1 + 3 * 0.5).
@@ -255,6 +264,17 @@ class TestScoreCache:
         fresh.load(tmp_path / "cache.json")
         assert fresh.lookup("a") == LabelDistribution(0.6, 0.4)
         assert fresh.lookup("b") == LabelDistribution(0.1, 0.9)
+
+    def test_load_keeps_only_the_scope(self, tmp_path):
+        cache = ScoreCache()
+        for key in ("s1:a", "s1:b", "s2:a"):
+            cache.store(key, LabelDistribution(0.6, 0.4))
+        cache.save(tmp_path / "cache.json")
+        fresh = ScoreCache()
+        fresh.load(tmp_path / "cache.json", "s1:")
+        fresh.save(tmp_path / "cache.json")
+        assert (tmp_path / "cache.json").read_text(encoding="utf-8") == (
+            '{"s1:a": [0.6, 0.4], "s1:b": [0.6, 0.4]}')
 
     def test_entry_beyond_float_range_is_unreadable(self, tmp_path):
         path = tmp_path / "cache.json"

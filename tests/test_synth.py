@@ -95,6 +95,17 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             generate_synthetic_dataset(SynthParams(**kwargs), rng_seed=0)
 
+    @pytest.mark.parametrize("field, error", [
+        ("topics", "need at least 2 topics"),
+        ("passages_per_query", "need at least 2 passages per query"),
+    ])
+    def test_one_topic_or_passage_per_query_rejected(self, field, error):
+        kwargs = dict(topics=5, vocab=60, train_queries=10, test_queries=4,
+                      passages_per_query=6, tokens_per_text=8)
+        kwargs[field] = 1
+        with pytest.raises(ValueError, match=error):
+            SynthParams(**kwargs)
+
     def test_vocab_smaller_than_topics_rejected(self):
         with pytest.raises(ValueError):
             SynthParams(topics=5, vocab=4, train_queries=10, test_queries=4,

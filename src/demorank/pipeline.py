@@ -274,7 +274,8 @@ def initial_rankings(dataset: Dataset, params: Bm25Params) -> dict[str, list[Pas
         index = build_index(texts)
         hits = bm25_search(index, params, q.text, top=len(judged))
         hit_ordinals = [i for i, _ in hits]
-        rest = [i for i in range(len(judged)) if i not in set(hit_ordinals)]
+        hit_set = set(hit_ordinals)
+        rest = [i for i in range(len(judged)) if i not in hit_set]
         out[q.id] = [passages[judged[i]] for i in hit_ordinals + rest]
     return out
 

@@ -27,6 +27,7 @@ from .retriever import (
     ScoredCandidate,
     demo_text,
     descend,
+    encode_feats,
     encoding_cache,
     feats_rows,
     input_text,
@@ -36,9 +37,6 @@ from .retriever import (
     stable_sigmoid,
     text_features,
 )
-# encode_feats stays importable from this module, as perfbench/spans.py
-# (which wraps every module alias) expects.
-from .retriever import encode_feats  # noqa: F401
 from .scoring import PromptTemplate, ScorerBackend
 
 # Initialization scales for CrossEncoder.init.  NOMINAL_TOKENS_PER_TEXT is the
@@ -92,38 +90,21 @@ class CrossEncoder:
                    snap_f32(np.zeros(1)))
 
 
-@dataclass(frozen=True)
-class _Lists:
-    """One input and prefix with a batch of candidate last demos: the texts,
-    their encodings, and one feature row [e_input; e_prefix; e_last;
-    e_input * e_last] per candidate."""
-
-    input_text: str
-    prefix_texts: list[str]
-    last_texts: list[str]
-    e_input: np.ndarray
-    e_lasts: np.ndarray  # (n, dim)
-    x: np.ndarray  # (n, 4 * dim)
-
-
-def _featurize(enc: Callable[[str], np.ndarray], input, prefix, lasts) -> _Lists:
-    """The single place cross-encoder feature rows are built."""
-    in_text = input_text(input.query.text, input.passage.text)
-    prefix_texts = [demo_text(d) for d in prefix]
-    last_texts = [demo_text(z) for z in lasts]
-    e_input = enc(in_text)
-    if prefix_texts:
-        e_prefix = np.mean([enc(t) for t in prefix_texts], axis=0)
+def _features(e_input: np.ndarray, e_prefix_rows, e_lasts: np.ndarray) -> np.ndarray:
+    """The single place cross-encoder feature rows are built: one row
+    [e_input; e_prefix; e_last; e_input * e_last] per last demo, where
+    e_prefix is the mean of the prefix's encodings (zeros for no prefix)."""
+    if len(e_prefix_rows):
+        e_prefix = np.mean(e_prefix_rows, axis=0)
     else:
         e_prefix = np.zeros_like(e_input)
-    e_lasts = np.stack([enc(t) for t in last_texts])
     n, d = e_lasts.shape
     x = np.empty((n, 4 * d))
     x[:, :d] = e_input
     x[:, d:2 * d] = e_prefix
     x[:, 2 * d:3 * d] = e_lasts
     np.multiply(e_input, e_lasts, out=x[:, 3 * d:])
-    return _Lists(in_text, prefix_texts, last_texts, e_input, e_lasts, x)
+    return x
 
 
 def _forward(model: CrossEncoder, x_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -131,36 +112,6 @@ def _forward(model: CrossEncoder, x_rows: np.ndarray) -> tuple[np.ndarray, np.nd
     a = x_rows @ model.w1.T + model.b1
     h = np.tanh(a)
     return h @ model.w2 + model.b2[0], h
-
-
-def _backward(model: CrossEncoder, lists: _Lists, h: np.ndarray,
-              gscore: np.ndarray, grads: dict) -> None:
-    """Add the gradient of sum(gscore * scores) to every parameter's grads.
-
-    Table rows receive the input's, then each prefix demo's, then each last
-    demo's contribution, in that order.
-    """
-    d = len(lists.e_input)
-    ga = gscore[:, None] * model.w2[None, :] * (1.0 - h * h)
-    grads["w1"] += ga.T @ lists.x
-    grads["b1"] += ga.sum(axis=0)
-    grads["w2"] += (gscore[:, None] * h).sum(axis=0)
-    grads["b2"][0] += gscore.sum()
-    gx = ga @ model.w1
-
-    g_input = gx[:, :d].sum(axis=0) + (gx[:, 3 * d:] * lists.e_lasts).sum(axis=0)
-    g_prefix = gx[:, d:2 * d].sum(axis=0)
-    g_lasts = gx[:, 2 * d:3 * d] + gx[:, 3 * d:] * lists.e_input[None, :]
-
-    table_grad = grads["embeddings"]
-    buckets = len(table_grad)
-    scatter_feats(table_grad, text_features(lists.input_text, buckets), g_input)
-    if lists.prefix_texts:
-        g_each = g_prefix / len(lists.prefix_texts)
-        for text in lists.prefix_texts:
-            scatter_feats(table_grad, text_features(text, buckets), g_each)
-    for row, text in zip(g_lasts, lists.last_texts):
-        scatter_feats(table_grad, text_features(text, buckets), row)
 
 
 def cross_score(model: CrossEncoder, input, demos) -> float:
@@ -180,8 +131,10 @@ def cross_score_batch(model: CrossEncoder, input, prefix, candidates,
     if not candidates:
         return np.empty(0, dtype=np.float64)
     enc = encodings if encodings is not None else encoding_cache(model.embeddings)
-    scores, _ = _forward(model, _featurize(enc, input, prefix, candidates).x)
-    return scores
+    x = _features(enc(input_text(input.query.text, input.passage.text)),
+                  [enc(demo_text(d)) for d in prefix],
+                  np.stack([enc(demo_text(z)) for z in candidates]))
+    return _forward(model, x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +242,6 @@ def construct_samples_for_corpus(inputs, retrieved_by_input, backend, template,
 # List-pairwise loss
 
 
-def _sample_lists(enc: Callable[[str], np.ndarray], sample: DependencySample) -> _Lists:
-    return _featurize(enc, sample.input, sample.prefix,
-                      [c.demo for c in sample.continuations])
-
-
 def _select_pairs(n: int, max_pairs: int | None, rng) -> tuple[np.ndarray, np.ndarray]:
     iu = np.triu_indices(n, k=1)
     total = len(iu[0])
@@ -309,28 +257,63 @@ def _select_pairs(n: int, max_pairs: int | None, rng) -> tuple[np.ndarray, np.nd
     return iu[0][picks], iu[1][picks]
 
 
+@dataclass(frozen=True)
+class SampleGroup:
+    """Samples prepared once for every training step on them: each distinct
+    text's `text_features`, each sample as (input, prefix, lasts) indices into
+    them, and the table rows those texts read."""
+
+    features: list[tuple[np.ndarray, np.ndarray]]
+    samples: list[tuple[int, list[int], list[int]]]
+    rows: np.ndarray
+
+    @classmethod
+    def build(cls, samples: list[DependencySample], buckets: int) -> "SampleGroup":
+        index: dict[str, int] = {}
+
+        def ids(texts) -> list[int]:
+            return [index.setdefault(t, len(index)) for t in texts]
+
+        indexed = [(ids([input_text(s.input.query.text, s.input.passage.text)])[0],
+                    ids(demo_text(d) for d in s.prefix),
+                    ids(demo_text(c.demo) for c in s.continuations)) for s in samples]
+        features = [text_features(t, buckets) for t in index]
+        return cls(features, indexed, feats_rows(features))
+
+
+def _sample_scores(model: CrossEncoder, group: SampleGroup):
+    """Each sample of the group with its encodings, feature rows, scores and
+    hidden activations; every distinct text is encoded once."""
+    enc = np.stack([encode_feats(model.embeddings, f) for f in group.features])
+    for inp, prefix, lasts in group.samples:
+        e_input, e_lasts = enc[inp], enc[lasts]
+        x = _features(e_input, enc[prefix], e_lasts)
+        yield (inp, prefix, lasts), e_input, e_lasts, x, *_forward(model, x)
+
+
 def list_pairwise_loss(model: CrossEncoder, samples: list[DependencySample],
                        max_pairs_per_sample: int | None = None,
                        pair_rng: np.random.Generator | None = None) -> float:
     """Sum over samples and better/worse continuation pairs of
     log(1 + exp(score_worse - score_better)) under the model."""
-    enc = encoding_cache(model.embeddings)
+    if not samples:
+        return 0.0
     total = 0.0
-    for sample in samples:
-        scores, _ = _forward(model, _sample_lists(enc, sample).x)
+    for *_, scores, _ in _sample_scores(model, SampleGroup.build(samples, len(model.embeddings))):
         ii, jj = _select_pairs(len(scores), max_pairs_per_sample, pair_rng)
         total += float(np.logaddexp(0.0, scores[jj] - scores[ii]).sum())
     return total
 
 
-def reranker_loss_and_grads(model: CrossEncoder, samples: list[DependencySample],
+def reranker_loss_and_grads(model: CrossEncoder, group: SampleGroup,
                             max_pairs_per_sample: int | None = None,
                             pair_rng=None) -> tuple[float, dict]:
-    """List-pairwise loss over samples plus gradients for every parameter.
+    """List-pairwise loss over a group's samples plus gradients for every
+    parameter.
 
-    Each distinct text is encoded once for all samples.
+    Per sample, table rows receive the input's, then each prefix demo's, then
+    each last demo's contribution, in that order.
     """
-    enc = encoding_cache(model.embeddings)
     grads = {
         "embeddings": np.zeros_like(model.embeddings),
         "w1": np.zeros_like(model.w1),
@@ -338,10 +321,9 @@ def reranker_loss_and_grads(model: CrossEncoder, samples: list[DependencySample]
         "w2": np.zeros_like(model.w2),
         "b2": np.zeros_like(model.b2),
     }
+    table_grad, feats = grads["embeddings"], group.features
     loss = 0.0
-    for sample in samples:
-        lists = _sample_lists(enc, sample)
-        scores, h = _forward(model, lists.x)
+    for (inp, prefix, lasts), e_input, e_lasts, x, scores, h in _sample_scores(model, group):
         n = len(scores)
         ii, jj = _select_pairs(n, max_pairs_per_sample, pair_rng)
         sig = stable_sigmoid(scores[jj] - scores[ii])
@@ -349,7 +331,23 @@ def reranker_loss_and_grads(model: CrossEncoder, samples: list[DependencySample]
         gscore = np.zeros(n, dtype=np.float64)
         np.add.at(gscore, jj, sig)
         np.add.at(gscore, ii, -sig)
-        _backward(model, lists, h, gscore, grads)
+
+        d = len(e_input)
+        ga = gscore[:, None] * model.w2[None, :] * (1.0 - h * h)
+        grads["w1"] += ga.T @ x
+        grads["b1"] += ga.sum(axis=0)
+        grads["w2"] += (gscore[:, None] * h).sum(axis=0)
+        grads["b2"][0] += gscore.sum()
+        gx = ga @ model.w1
+
+        scatter_feats(table_grad, feats[inp],
+                      gx[:, :d].sum(axis=0) + (gx[:, 3 * d:] * e_lasts).sum(axis=0))
+        if prefix:
+            g_each = gx[:, d:2 * d].sum(axis=0) / len(prefix)
+            for i in prefix:
+                scatter_feats(table_grad, feats[i], g_each)
+        for row, i in zip(gx[:, 2 * d:3 * d] + gx[:, 3 * d:] * e_input[None, :], lasts):
+            scatter_feats(table_grad, feats[i], row)
     return loss, grads
 
 
@@ -365,25 +363,15 @@ class RerankerTrainConfig:
             raise ValueError("bad reranker training config")
 
 
-def _group_rows(group: list[DependencySample], buckets: int) -> np.ndarray:
-    """Table rows read by any text of a group's samples."""
-    texts = []
-    for s in group:
-        texts.append(input_text(s.input.query.text, s.input.passage.text))
-        texts.extend(demo_text(d) for d in s.prefix)
-        texts.extend(demo_text(c.demo) for c in s.continuations)
-    return feats_rows([text_features(t, buckets) for t in texts])
-
-
 def train_reranker(model: CrossEncoder, samples: list[DependencySample],
                    cfg: RerankerTrainConfig = RerankerTrainConfig(),
                    seed: int = 0) -> CrossEncoder:
     """Seeded gradient descent on the list-pairwise loss.
 
     Samples sharing a training input form one gradient step, so each step
-    optimizes that input's full loss across its prefixes.  Features are built
-    once per distinct text, and each step updates only the embedding rows its
-    group's texts read.
+    optimizes that input's full loss across its prefixes.  Each input's
+    `SampleGroup` is built once, before the first step, and each step updates
+    only the embedding rows its group's texts read.
     """
     if not samples:
         raise ValueError("no training samples")
@@ -391,10 +379,10 @@ def train_reranker(model: CrossEncoder, samples: list[DependencySample],
     for s in samples:
         groups.setdefault(s.input.input_id, []).append(s)
     keys = sorted(groups)
-    return descend(model, keys,
-                   [_group_rows(groups[key], len(model.embeddings)) for key in keys],
+    prepared = [SampleGroup.build(groups[key], len(model.embeddings)) for key in keys]
+    return descend(model, keys, [g.rows for g in prepared],
                    lambda trained, i: reranker_loss_and_grads(
-                       trained, groups[keys[i]], cfg.max_pairs_per_sample,
+                       trained, prepared[i], cfg.max_pairs_per_sample,
                        np.random.default_rng(seed + 7919 * i)),
                    cfg.learning_rate, cfg.epochs, seed, "reranker")
 

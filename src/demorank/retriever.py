@@ -299,11 +299,15 @@ class NonFiniteLossError(RuntimeError):
         self.model = model
 
 
-def _set_features(cand_set: ScoredCandidateSet, buckets: int):
+def _set_inputs(cand_set: ScoredCandidateSet, buckets: int):
+    """A set's `set_loss_and_grad` inputs after the table: the input's and each
+    candidate's features, the positive's index and every candidate's rank.
+    The positive is the candidate ranked 1, so `order()` runs once."""
     inp = cand_set.input
     input_feats = text_features(input_text(inp.query.text, inp.passage.text), buckets)
     demo_feats = [text_features(demo_text(c.demo), buckets) for c in cand_set.candidates]
-    return input_feats, demo_feats
+    ranks = cand_set.ranks()
+    return input_feats, demo_feats, ranks.index(1), ranks
 
 
 def descend(model, keys: list[str], rows: list[np.ndarray],
@@ -338,20 +342,19 @@ def train_retriever(model: BiEncoder, sets: list[ScoredCandidateSet],
                     seed: int = 0) -> BiEncoder:
     """Seeded gradient descent; one step per candidate set; leaves input model untouched.
 
-    Features are built once per distinct text, and each step updates only
-    the table rows its set's texts read.
+    Each set's features, positive and ranks are built once, before the first
+    step, and each step updates only the table rows its set's texts read.
     """
     if not sets:
         raise ValueError("no training sets")
-    feats = [_set_features(s, len(model.embeddings)) for s in sets]
+    prepared = [_set_inputs(s, len(model.embeddings)) for s in sets]
 
     def step(trained: BiEncoder, i: int) -> tuple[float, dict]:
-        loss, grad = set_loss_and_grad(trained.embeddings, *feats[i], sets[i].positive_index(),
-                                       sets[i].ranks(), cfg.lam)
+        loss, grad = set_loss_and_grad(trained.embeddings, *prepared[i], cfg.lam)
         return loss, {"embeddings": grad}
 
     return descend(model, [s.input.input_id for s in sets],
-                   [feats_rows([inp, *demos]) for inp, demos in feats], step,
+                   [feats_rows([inp, *demos]) for inp, demos, _, _ in prepared], step,
                    cfg.learning_rate, cfg.epochs, seed, "retriever")
 
 
@@ -359,9 +362,7 @@ def retriever_corpus_loss(model: BiEncoder, sets: list[ScoredCandidateSet],
                           lam: float) -> float:
     total = 0.0
     for s in sets:
-        input_feats, demo_feats = _set_features(s, len(model.embeddings))
-        loss, _ = set_loss_and_grad(model.embeddings, input_feats, demo_feats,
-                                    s.positive_index(), s.ranks(), lam)
+        loss, _ = set_loss_and_grad(model.embeddings, *_set_inputs(s, len(model.embeddings)), lam)
         total += loss
     return total / len(sets)
 

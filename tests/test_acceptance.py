@@ -58,6 +58,7 @@ from demorank.pipeline import (
 from demorank.reranker import (
     CrossEncoder,
     DependencySample,
+    SampleGroup,
     construct_samples,
     cross_score,
     list_pairwise_loss,
@@ -213,7 +214,8 @@ class TestAcceptanceCriteria:
             model = CrossEncoder.init(config, 4, int(rng.integers(100000)))
             samples = [random_sample(rng, int(rng.integers(0, 3)), int(rng.integers(2, 6)))
                        for _ in range(int(rng.integers(1, 3)))]
-            _, grads = reranker_loss_and_grads(model, samples)
+            _, grads = reranker_loss_and_grads(
+                model, SampleGroup.build(samples, len(model.embeddings)))
             for name in ("embeddings", "w1", "b1", "w2", "b2"):
                 flat = getattr(model, name).reshape(-1)
                 gflat = grads[name].reshape(-1)

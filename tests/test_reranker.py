@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from demorank.reranker import (
     DependencySample,
     EmptyListError,
     RerankerTrainConfig,
+    SampleGroup,
     construct_samples,
     construct_samples_for_corpus,
     cross_score,
@@ -466,8 +468,9 @@ class TestRerankerGradients:
             model = CrossEncoder.init(EncoderConfig(vocab_buckets=16, dim=4), 4, trial)
             samples = [random_sample(rng, int(rng.integers(0, 3)), int(rng.integers(2, 6)))
                        for _ in range(3)]
-            loss, grads = reranker_loss_and_grads(model, samples)
-            assert loss == pytest.approx(list_pairwise_loss(model, samples), abs=1e-9)
+            loss, grads = reranker_loss_and_grads(
+                model, SampleGroup.build(samples, len(model.embeddings)))
+            assert loss == list_pairwise_loss(model, samples)
             for name in ("embeddings", "w1", "b1", "w2", "b2"):
                 arr = getattr(model, name)
                 flat = arr.reshape(-1)
@@ -586,6 +589,55 @@ class TestStepRowsCoverGradients:
         model = CrossEncoder.init(toy_chain["config"], 8, 37)
         train_reranker(model, samples, RerankerTrainConfig(epochs=2), 41)
         assert len(checked_descend) == 2 * len({s.input.input_id for s in samples})
+
+
+class TestPreparationOutsideSteps:
+    """Both trainers build texts, features and ranks once, before the first
+    step, so that work does not grow with the number of epochs."""
+
+    COUNTED = [(reranker, "demo_text"), (reranker, "input_text"),
+               (reranker, "text_features"), (reranker, "encoding_cache"),
+               (retriever, "demo_text"), (retriever, "input_text"),
+               (retriever, "text_features"), (retriever.ScoredCandidateSet, "order")]
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = Counter()
+        for owner, name in self.COUNTED:
+            def counted(*args, _real=getattr(owner, name), _key=f"{owner.__name__}.{name}"):
+                counts[_key] += 1
+                return _real(*args)
+            monkeypatch.setattr(owner, name, counted)
+        return counts
+
+    @staticmethod
+    def counts_at(counts, train, epochs: int) -> dict:
+        counts.clear()
+        train(epochs)
+        return dict(counts)
+
+    def test_retriever(self, toy_chain, counts):
+        sets = [score_candidates(toy_chain["backend"], toy_chain["template"], inp, demos)
+                for inp, demos in zip(toy_chain["inputs"], toy_chain["retrieved"])]
+        model = BiEncoder.init(toy_chain["config"], 23)
+
+        def train(epochs):
+            train_retriever(model, sets, retriever.RetrieverTrainConfig(epochs=epochs), 7)
+
+        once = self.counts_at(counts, train, 1)
+        assert once["ScoredCandidateSet.order"] == len(sets)
+        assert self.counts_at(counts, train, 3) == once
+
+    def test_reranker(self, toy_chain, counts):
+        model = CrossEncoder.init(toy_chain["config"], 8, 37)
+
+        def train(epochs):
+            train_reranker(model, toy_chain["samples"], RerankerTrainConfig(epochs=epochs), 41)
+
+        once = self.counts_at(counts, train, 1)
+        assert once["demorank.reranker.demo_text"] > 0
+        assert "demorank.reranker.encoding_cache" not in once
+        assert self.counts_at(counts, train, 3) == once
 
 
 class TestDeskScaleReranker:

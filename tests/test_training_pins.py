@@ -7,6 +7,9 @@ here means training changed numerically, not just got faster or slower.  The
 digests were recorded on the code before encoding reuse, ordered scatters and
 row-sparse table updates replaced per-step re-encoding, np.add.at and full
 table rewrites.
+
+The bits also depend on the platform: numpy's SIMD loops and the BLAS kernel.
+So a mismatch names the platform the pins were recorded on and this host's.
 """
 
 from hashlib import sha256
@@ -25,6 +28,12 @@ from demorank.retriever import (
 from demorank.scoring import score_list
 
 RERANKER_ARRAYS = ("embeddings", "w1", "b1", "w2", "b2")
+
+PIN_PLATFORM = {
+    "numpy": "2.4.6",
+    "dispatch": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"],
+    "blas": "scipy-openblas 0.3.31.188.0",
+}
 
 PINS = {
     "toy.retriever": {
@@ -66,6 +75,27 @@ def digest(arr: np.ndarray) -> str:
     return h.hexdigest()
 
 
+def platform() -> dict:
+    """The numpy version, numpy's SIMD dispatch targets enabled at runtime, and
+    the BLAS numpy was built against, in `PIN_PLATFORM`'s form."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "dispatch": [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)],
+        "blas": f"{blas['name']} {blas['version']}",
+    }
+
+
+def check_pins(got: dict[str, dict[str, str]]) -> None:
+    for key, value in got.items():
+        assert value == PINS[key], (
+            f"{key}: pinned on {PIN_PLATFORM}, this host is {platform()}")
+
+
 def reranker_digests(model: CrossEncoder) -> dict[str, str]:
     return {name: digest(getattr(model, name)) for name in RERANKER_ARRAYS}
 
@@ -98,8 +128,7 @@ def toy_trained(toy_chain):
 
 class TestTrainedParameterPins:
     def test_toy_chain(self, toy_trained):
-        for key, got in toy_trained.items():
-            assert got == PINS[key], key
+        check_pins(toy_trained)
 
     def test_desk_state(self, desk_state):
         got = {
@@ -107,8 +136,7 @@ class TestTrainedParameterPins:
             "desk.retriever_all": {"embeddings": digest(desk_state.retriever_all.embeddings)},
             "desk.reranker": reranker_digests(desk_state.reranker),
         }
-        for key, value in got.items():
-            assert value == PINS[key], key
+        check_pins(got)
 
     def test_digest_sees_the_last_bit(self):
         arr = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
@@ -116,3 +144,9 @@ class TestTrainedParameterPins:
         bumped[1, 2] = np.nextafter(bumped[1, 2], 2.0)
         assert digest(arr) != digest(bumped)
         assert digest(arr) != digest(arr.reshape(4, 3))
+
+    def test_mismatch_names_both_platforms(self):
+        with pytest.raises(AssertionError) as exc:
+            check_pins({"toy.retriever": {"embeddings": "0" * 64}})
+        message = str(exc.value)
+        assert f"toy.retriever: pinned on {PIN_PLATFORM}, this host is {platform()}" in message

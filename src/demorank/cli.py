@@ -321,9 +321,15 @@ def _mine_candidates(ws: Workspace, out: dict[str, Path]) -> str:
 
 def _load_candidates(path: Path, training_inputs, pool):
     refs = data.RefResolver(training_inputs, pool)
-    return data.read_jsonl(path, lambda obj: (refs.input(obj["input_id"]),
-                                              [refs.demo(r) for r in obj["demo_refs"]]),
-                           "candidates record")
+
+    def parse(obj: dict):
+        inp = refs.input(obj["input_id"])
+        demos = [refs.demo(r) for r in obj["demo_refs"]]
+        if len(set(demos)) < len(demos):  # refused before any of them is scored
+            raise ValueError("repeated candidate demo")
+        return inp, demos
+
+    return data.read_jsonl(path, parse, "candidates record")
 
 
 def _score_candidates(ws: Workspace, out: dict[str, Path]) -> str:

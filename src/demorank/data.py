@@ -226,8 +226,8 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
 def read_jsonl(path: str | Path, parse: Callable[[dict], T], what: str) -> list[T]:
     """`parse(record)` for each non-blank line of a JSONL file.
 
-    A line that is not JSON, lacks a field `parse` reads or names an unknown
-    input or demonstration raises CorpusError naming the file and line.
+    A line that is not JSON, lacks a field `parse` reads or holds a value it
+    rejects (an unknown input or demo, say) raises CorpusError naming file and line.
     """
     out = []
     for lineno, line in read_lines(path):
@@ -235,7 +235,7 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T], what: str) -> list[
             continue
         try:
             out.append(parse(json.loads(line)))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"{path}:{lineno}: malformed {what}: {exc}") from exc
     return out
 

@@ -25,6 +25,7 @@ from .data import Demonstration, RefResolver, TrainingInput, read_jsonl, write_j
 from .retriever import (
     EncoderConfig,
     ScoredCandidate,
+    ScoredCandidateSet,
     demo_text,
     descend,
     encode_feats,
@@ -37,7 +38,7 @@ from .retriever import (
     stable_sigmoid,
     text_features,
 )
-from .scoring import PromptTemplate, ScorerBackend
+from .scoring import PromptTemplate, ScorerBackend, json_number
 
 # Initialization scales for CrossEncoder.init.  NOMINAL_TOKENS_PER_TEXT is the
 # token count the block scales are normalized against; texts of a different
@@ -167,46 +168,17 @@ def sample_by_rank(ranks, rng: np.random.Generator) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Dependency-aware training samples
-
-
-@dataclass(frozen=True)
-class DependencySample:
-    """All continuations of one shared prefix, rank-ordered by LLM score.
-
-    A continuation is the next demo with the LLM score of prefix + [demo].
-    """
-
-    input: TrainingInput
-    prefix: tuple[Demonstration, ...]
-    continuations: tuple[ScoredCandidate, ...]
-
-    @property
-    def shot(self) -> int:
-        return len(self.prefix) + 1
-
-    def __post_init__(self) -> None:
-        if not self.continuations:
-            raise ValueError("sample needs at least one continuation")
-        lasts = set()
-        prev = None
-        for c in self.continuations:
-            if c.demo.ref in lasts:
-                raise ValueError("duplicate continuation demo")
-            lasts.add(c.demo.ref)
-            if prev is not None and c.llm_score > prev + 1e-12:
-                raise ValueError("continuations must be ordered by non-increasing score")
-            prev = c.llm_score
+# Dependency-aware training samples: ScoredCandidateSets with a round's prefix
 
 
 def construct_samples(input: TrainingInput, retrieved: list[Demonstration],
                       backend: ScorerBackend, template: PromptTemplate,
-                      iterations: int, rng: np.random.Generator) -> list[DependencySample]:
+                      iterations: int, rng: np.random.Generator) -> list[ScoredCandidateSet]:
     """Iterative sample construction for one training input.
 
     Runs `iterations` rounds over the retrieved candidates.  Each round scores
-    prefix + candidate for every unselected candidate, emits a sample holding
-    the full ranked set of continuations, then moves one candidate into the
+    prefix + candidate for every unselected candidate, emits that scored set
+    as a sample holding every continuation, then moves one candidate into the
     prefix, drawn by exp(-rank).  Round i scores len(retrieved) - i lists.
     """
     m = len(retrieved)
@@ -217,15 +189,14 @@ def construct_samples(input: TrainingInput, retrieved: list[Demonstration],
     samples = []
     for _ in range(iterations):
         scored = score_candidates(backend, template, input, unselected, prefix)
-        samples.append(DependencySample(input, tuple(prefix), tuple(
-            scored.candidates[i] for i in scored.order())))
+        samples.append(scored)
         prefix.append(unselected.pop(sample_by_rank(scored.ranks(), rng)))
     return samples
 
 
 def construct_samples_for_corpus(inputs, retrieved_by_input, backend, template,
                                  iterations: int, seed: int,
-                                 trajectories: int = 1) -> list[DependencySample]:
+                                 trajectories: int = 1) -> list[ScoredCandidateSet]:
     """Samples for every training input; seeds derive from the input ordinal."""
     if trajectories < 1:
         raise ValueError("trajectories must be at least 1")
@@ -268,7 +239,7 @@ class SampleGroup:
     rows: np.ndarray
 
     @classmethod
-    def build(cls, samples: list[DependencySample], buckets: int) -> "SampleGroup":
+    def build(cls, samples: list[ScoredCandidateSet], buckets: int) -> "SampleGroup":
         index: dict[str, int] = {}
 
         def ids(texts) -> list[int]:
@@ -276,7 +247,7 @@ class SampleGroup:
 
         indexed = [(ids([input_text(s.input.query.text, s.input.passage.text)])[0],
                     ids(demo_text(d) for d in s.prefix),
-                    ids(demo_text(c.demo) for c in s.continuations)) for s in samples]
+                    ids(demo_text(c.demo) for c in s.ranked())) for s in samples]
         features = [text_features(t, buckets) for t in index]
         return cls(features, indexed, feats_rows(features))
 
@@ -291,7 +262,7 @@ def _sample_scores(model: CrossEncoder, group: SampleGroup):
         yield (inp, prefix, lasts), e_input, e_lasts, x, *_forward(model, x)
 
 
-def list_pairwise_loss(model: CrossEncoder, samples: list[DependencySample],
+def list_pairwise_loss(model: CrossEncoder, samples: list[ScoredCandidateSet],
                        max_pairs_per_sample: int | None = None,
                        pair_rng: np.random.Generator | None = None) -> float:
     """Sum over samples and better/worse continuation pairs of
@@ -363,7 +334,7 @@ class RerankerTrainConfig:
             raise ValueError("bad reranker training config")
 
 
-def train_reranker(model: CrossEncoder, samples: list[DependencySample],
+def train_reranker(model: CrossEncoder, samples: list[ScoredCandidateSet],
                    cfg: RerankerTrainConfig = RerankerTrainConfig(),
                    seed: int = 0) -> CrossEncoder:
     """Seeded gradient descent on the list-pairwise loss.
@@ -375,7 +346,7 @@ def train_reranker(model: CrossEncoder, samples: list[DependencySample],
     """
     if not samples:
         raise ValueError("no training samples")
-    groups: dict[str, list[DependencySample]] = {}
+    groups: dict[str, list[ScoredCandidateSet]] = {}
     for s in samples:
         groups.setdefault(s.input.input_id, []).append(s)
     keys = sorted(groups)
@@ -389,31 +360,31 @@ def train_reranker(model: CrossEncoder, samples: list[DependencySample],
 
 # ---------------------------------------------------------------------------
 # Sample IO: {"input_id", "shot", "prefix": [ref...],
-#             "continuations": [{"last": ref, "llm_score": s}]} rank-ordered
+#             "continuations": [{"last": ref, "llm_score": s}]} in ranked() order
 
 
-def write_samples(path, samples: list[DependencySample]) -> None:
+def write_samples(path, samples: list[ScoredCandidateSet]) -> None:
     write_jsonl(path, ({
         "input_id": s.input.input_id,
         "shot": s.shot,
         "prefix": [list(d.ref) for d in s.prefix],
         "continuations": [{"last": list(c.demo.ref), "llm_score": c.llm_score}
-                          for c in s.continuations],
+                          for c in s.ranked()],
     } for s in samples))
 
 
 def load_samples(path, inputs: list[TrainingInput],
-                 pool: list[Demonstration]) -> list[DependencySample]:
+                 pool: list[Demonstration]) -> list[ScoredCandidateSet]:
     refs = RefResolver(inputs, pool)
 
-    def parse(obj: dict) -> DependencySample:
-        inp = refs.input(obj["input_id"])
-        prefix = tuple(refs.demo(r) for r in obj["prefix"])
-        sample = DependencySample(inp, prefix, tuple(
-            ScoredCandidate(refs.demo(c["last"]), float(c["llm_score"]))
-            for c in obj["continuations"]))
-        if sample.shot != int(obj["shot"]):
-            raise ValueError("shot mismatch")
+    def parse(obj: dict) -> ScoredCandidateSet:
+        sample = ScoredCandidateSet(refs.input(obj["input_id"]), [
+            ScoredCandidate(refs.demo(c["last"]), json_number(c["llm_score"]))
+            for c in obj["continuations"]], tuple(refs.demo(r) for r in obj["prefix"]))
+        if sample.order() != list(range(len(sample.candidates))):
+            raise ValueError("continuations out of rank order")
+        if type(obj["shot"]) is not int or obj["shot"] != sample.shot:
+            raise ValueError(f"shot mismatch: {obj['shot']!r}, not the JSON int {sample.shot}")
         return sample
 
     return read_jsonl(path, parse, "sample")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bm25 import tokenize
 from .data import Demonstration, RefResolver, TrainingInput, read_jsonl, write_jsonl
-from .scoring import PromptTemplate, ScorerBackend, score_lists
+from .scoring import PromptTemplate, ScorerBackend, json_number, score_lists
 
 logger = logging.getLogger(__name__)
 
@@ -161,7 +161,7 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def contrastive_loss_and_grad(scores: np.ndarray,
-                              positive_index: int) -> tuple[float, np.ndarray]:
+                              positive: int) -> tuple[float, np.ndarray]:
     """Negative log-softmax of the positive candidate's score, and its gradient
     (softmax minus the one-hot positive)."""
     s = np.asarray(scores, dtype=np.float64)
@@ -169,8 +169,8 @@ def contrastive_loss_and_grad(scores: np.ndarray,
     e = np.exp(s - m)
     total = e.sum()
     g = e / total
-    g[positive_index] -= 1.0
-    return float(np.log(total) + m - s[positive_index]), g
+    g[positive] -= 1.0
+    return float(np.log(total) + m - s[positive]), g
 
 
 def ranknet_loss_and_grad(scores: np.ndarray, ranks) -> tuple[float, np.ndarray]:
@@ -204,14 +204,24 @@ class ScoredCandidate:
     llm_score: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScoredCandidateSet:
+    """Candidates scored as the last demo of prefix + [candidate]: a retriever
+    set (no prefix) or a reranker sample (a construction round's prefix)."""
+
     input: TrainingInput
     candidates: list[ScoredCandidate]
+    prefix: tuple[Demonstration, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.candidates:
             raise ValueError(f"empty candidate set for {self.input.input_id}")
+        if len({c.demo.ref for c in self.candidates}) < len(self.candidates):
+            raise ValueError(f"repeated candidate demo for {self.input.input_id}")
+
+    @property
+    def shot(self) -> int:
+        return len(self.prefix) + 1
 
     def order(self) -> list[int]:
         """Candidate ordinals by descending llm_score, ties by ordinal: the
@@ -226,8 +236,9 @@ class ScoredCandidateSet:
             ranks[i] = pos + 1
         return ranks
 
-    def positive_index(self) -> int:
-        return self.order()[0]
+    def ranked(self) -> list[ScoredCandidate]:
+        """The candidates in `order()`."""
+        return [self.candidates[i] for i in self.order()]
 
 
 def score_candidates(backend: ScorerBackend, template: PromptTemplate, input: TrainingInput,
@@ -235,11 +246,12 @@ def score_candidates(backend: ScorerBackend, template: PromptTemplate, input: Tr
     """Each candidate scored by the LLM as the last demo of prefix + [candidate],
     sent to the backend as one batch."""
     scores = score_lists(backend, template, [[*prefix, z] for z in candidates], input)
-    return ScoredCandidateSet(input, [ScoredCandidate(z, s) for z, s in zip(candidates, scores)])
+    return ScoredCandidateSet(input, [ScoredCandidate(z, s) for z, s in zip(candidates, scores)],
+                              tuple(prefix))
 
 
 def _set_loss_and_grad(table: np.ndarray, input_feats, demo_feats_list,
-                       positive_index: int, ranks, w_contrastive: float,
+                       positive: int, ranks, w_contrastive: float,
                        w_ranknet: float) -> tuple[float, np.ndarray]:
     u = encode_feats(table, input_feats)
     vmat = np.stack([encode_feats(table, f) for f in demo_feats_list])
@@ -247,7 +259,7 @@ def _set_loss_and_grad(table: np.ndarray, input_feats, demo_feats_list,
 
     loss = 0.0
     gs = np.zeros(len(demo_feats_list), dtype=np.float64)
-    for weight, objective, target in ((w_contrastive, contrastive_loss_and_grad, positive_index),
+    for weight, objective, target in ((w_contrastive, contrastive_loss_and_grad, positive),
                                       (w_ranknet, ranknet_loss_and_grad, ranks)):
         if weight:
             part_loss, part_grad = objective(scores, target)
@@ -261,18 +273,18 @@ def _set_loss_and_grad(table: np.ndarray, input_feats, demo_feats_list,
     return loss, grad
 
 
-def set_loss_and_grad(table, input_feats, demo_feats_list, positive_index,
+def set_loss_and_grad(table, input_feats, demo_feats_list, positive,
                       ranks, lam: float) -> tuple[float, np.ndarray]:
     """Loss lam * contrastive + ranknet and its gradient w.r.t. the table."""
     return _set_loss_and_grad(table, input_feats, demo_feats_list,
-                              positive_index, ranks, lam, 1.0)
+                              positive, ranks, lam, 1.0)
 
 
 def contrastive_set_loss_and_grad(table, input_feats, demo_feats_list,
-                                  positive_index) -> tuple[float, np.ndarray]:
+                                  positive) -> tuple[float, np.ndarray]:
     ranks = list(range(1, len(demo_feats_list) + 1))
     return _set_loss_and_grad(table, input_feats, demo_feats_list,
-                              positive_index, ranks, 1.0, 0.0)
+                              positive, ranks, 1.0, 0.0)
 
 
 def ranknet_set_loss_and_grad(table, input_feats, demo_feats_list,
@@ -415,5 +427,5 @@ def load_scored_sets(path, inputs: list[TrainingInput],
                      pool: list[Demonstration]) -> list[ScoredCandidateSet]:
     refs = RefResolver(inputs, pool)
     return read_jsonl(path, lambda obj: ScoredCandidateSet(refs.input(obj["input_id"]), [
-        ScoredCandidate(refs.demo(c["demo_ref"]), float(c["llm_score"]))
+        ScoredCandidate(refs.demo(c["demo_ref"]), json_number(c["llm_score"]))
         for c in obj["candidates"]]), "scored set")

@@ -58,11 +58,14 @@ class MalformedResponseError(BackendError):
     pass
 
 
-def _json_number(value) -> float:
+def json_number(value) -> float:
     """A JSON number as a float; TypeError for a bool, a string or any other
-    value, OverflowError for an int beyond float range."""
+    value, ValueError for the NaN and infinities `json` also reads,
+    OverflowError for an int beyond float range."""
     if type(value) not in (int, float):
         raise TypeError(f"not a JSON number: {value!r}")
+    if not isfinite(value):
+        raise ValueError(f"not a finite JSON number: {value!r}")
     return float(value)
 
 
@@ -295,7 +298,7 @@ class HttpScorer:
     def _parse(self, resp: requests.Response, request: ScoreRequest) -> LabelDistribution:
         try:
             p = resp.json()["p"]
-            yes, no = (_json_number(p[label]) for label in request.label_space)
+            yes, no = (json_number(p[label]) for label in request.label_space)
         except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
             raise MalformedResponseError(f"bad response body: {exc}") from exc
         return LabelDistribution.from_unnormalized(yes, no)
@@ -387,7 +390,7 @@ class ScoreCache:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
         try:  # a JSON value that unpacks into two numbers is a [number, number] list
-            entries = {k: LabelDistribution(_json_number(yes), _json_number(no))
+            entries = {k: LabelDistribution(json_number(yes), json_number(no))
                        for k, (yes, no) in obj.items()}
         except (ArithmeticError, AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"not a JSON object of [p_yes, p_no] pairs: {exc}") from exc

@@ -95,8 +95,8 @@ class DeskState:
         total = 0
         for sample in samples:
             scores = cross_score_batch(model, sample.input, list(sample.prefix),
-                                       [c.demo for c in sample.continuations])
-            llm = [c.llm_score for c in sample.continuations]
+                                       [c.demo for c in sample.ranked()])
+            llm = [c.llm_score for c in sample.ranked()]
             n = len(scores)
             for i in range(n):
                 for j in range(i + 1, n):

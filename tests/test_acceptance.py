@@ -57,7 +57,6 @@ from demorank.pipeline import (
 )
 from demorank.reranker import (
     CrossEncoder,
-    DependencySample,
     SampleGroup,
     construct_samples,
     cross_score,
@@ -117,17 +116,17 @@ def make_candidate_set(rng, n_candidates: int) -> ScoredCandidateSet:
     return ScoredCandidateSet(inp, cands)
 
 
-def random_sample(rng, n_prefix: int, n_continuations: int) -> DependencySample:
+def random_sample(rng, n_prefix: int, n_continuations: int) -> ScoredCandidateSet:
     inp = make_input(random_text(rng), random_text(rng))
     prefix = tuple(make_demo(f"pre{i}", random_text(rng), random_text(rng))
                    for i in range(n_prefix))
     scores = np.sort(rng.random(n_continuations))[::-1]
-    conts = tuple(
+    conts = [
         ScoredCandidate(make_demo(f"c{i}", random_text(rng), random_text(rng)),
                         float(scores[i]))
         for i in range(n_continuations)
-    )
-    return DependencySample(inp, prefix, conts)
+    ]
+    return ScoredCandidateSet(inp, conts, prefix)
 
 
 class CountingScorer:
@@ -191,7 +190,7 @@ class TestAcceptanceCriteria:
                 input_text(cand_set.input.query.text, cand_set.input.passage.text), 16)
             demo_feats = [text_features(demo_text(c.demo), 16)
                           for c in cand_set.candidates]
-            pos, ranks = cand_set.positive_index(), cand_set.ranks()
+            pos, ranks = cand_set.order()[0], cand_set.ranks()
             fns = (
                 lambda t: set_loss_and_grad(t, feats, demo_feats, pos, ranks, 0.2),
                 lambda t: contrastive_set_loss_and_grad(t, feats, demo_feats, pos),
@@ -274,7 +273,7 @@ class TestAcceptanceCriteria:
                 violations += 1
                 continue
             for i, sample in enumerate(samples):
-                conts = sample.continuations
+                conts = sample.ranked()
                 lasts = [c.demo.ref for c in conts]
                 scores = [c.llm_score for c in conts]
                 if (len(conts) != m - i or len(sample.prefix) != i
@@ -311,7 +310,7 @@ class TestAcceptanceCriteria:
         rng = np.random.default_rng(42)
         samples = [random_sample(rng, 0, 2), random_sample(rng, 1, 3),
                    random_sample(rng, 2, 5)]
-        pairs = sum(math.comb(len(s.continuations), 2) for s in samples)
+        pairs = sum(math.comb(len(s.candidates), 2) for s in samples)
         d_list = abs(list_pairwise_loss(model, samples) - pairs * math.log(2))
         scores = rng.normal(size=6)
         ranks = list(rng.permutation(6) + 1)

@@ -24,7 +24,7 @@ from demorank.data import (
     write_jsonl_texts,
     write_qrels,
 )
-from demorank.reranker import DependencySample, load_samples, write_samples
+from demorank.reranker import load_samples, write_samples
 from demorank.retriever import (
     ScoredCandidate,
     ScoredCandidateSet,
@@ -74,8 +74,8 @@ def artifacts(tmp_path_factory):
         ScoredCandidateSet(inp, [ScoredCandidate(d, (j + 1) / 7) for j, d in enumerate(demos)])
         for inp, demos in mined])
     write_samples(root / "samples.jsonl", [
-        DependencySample(inp, (demos[0],), tuple(
-            ScoredCandidate(d, 1 / (j + 3)) for j, d in enumerate(demos[1:])))
+        ScoredCandidateSet(inp, [ScoredCandidate(d, 1 / (j + 3)) for j, d in enumerate(demos[1:])],
+                           (demos[0],))
         for inp, demos in mined])
     return root, inputs, pool
 
@@ -98,6 +98,7 @@ LOADERS = {
     "samples": ("samples.jsonl", load_samples, "continuations"),
 }
 GHOST = ["ghost", "ghost", "Yes"]
+SCORED = ("scored", "samples")
 
 
 def _unknown_demo(obj: dict, field: str) -> str:
@@ -110,24 +111,69 @@ def _unknown_demo(obj: dict, field: str) -> str:
     return json.dumps(obj)
 
 
+def _scored(obj: dict) -> list:
+    """A scored set's candidates or a sample's continuations."""
+    return obj["candidates"] if "candidates" in obj else obj["continuations"]
+
+
+def _score(value):
+    def brk(obj: dict, field: str) -> str:
+        _scored(obj)[0]["llm_score"] = value
+        return json.dumps(obj)
+    return brk
+
+
+def _shot(value):
+    return lambda obj, field: json.dumps({**obj, "shot": value})
+
+
+def _repeated_demo(obj: dict, field: str) -> str:
+    """The first candidate again, scored lower so a sample keeps its rank order."""
+    if "demo_refs" in obj:
+        obj["demo_refs"].append(obj["demo_refs"][0])
+    else:
+        first = _scored(obj)[0]
+        _scored(obj).append({**first, "llm_score": first["llm_score"] / 2})
+    return json.dumps(obj)
+
+
+def _out_of_rank_order(obj: dict, field: str) -> str:
+    """The prefix demo moved to a last continuation that outscores the first."""
+    obj["continuations"].append({"last": obj["prefix"].pop(), "llm_score": 1.0})
+    return json.dumps({**obj, "shot": obj["shot"] - 1})
+
+
+# break -> (the loaders it applies to, None for every loader; how it rewrites
+# a record; what the error must say after "malformed <record>:")
 BREAKS = {
-    "not-json": lambda obj, field: "{not json",
-    "missing-field": lambda obj, field: json.dumps(
-        {k: v for k, v in obj.items() if k != field}),
-    "unknown-input": lambda obj, field: json.dumps({**obj, "input_id": "ghost::ghost::Yes"}),
-    "unknown-demo": _unknown_demo,
+    "not-json": (None, lambda obj, field: "{not json", ""),
+    "missing-field": (None, lambda obj, field: json.dumps(
+        {k: v for k, v in obj.items() if k != field}), ""),
+    "unknown-input": (("candidates", *SCORED),
+                      lambda obj, field: json.dumps({**obj, "input_id": "ghost::ghost::Yes"}),
+                      "unknown input"),
+    "unknown-demo": (("candidates", *SCORED), _unknown_demo, "unknown demo"),
+    "nan-score": (SCORED, _score(float("nan")), "not a finite JSON number"),
+    "string-score": (SCORED, _score("0.5"), "not a JSON number"),
+    "bool-score": (SCORED, _score(True), "not a JSON number"),
+    "huge-score": (SCORED, _score(10 ** 400), "too large"),
+    "repeated-demo": (("candidates", *SCORED), _repeated_demo, "repeated candidate demo"),
+    "fractional-shot": (("samples",), _shot(2.5), "shot mismatch"),
+    "string-shot": (("samples",), _shot("2"), "shot mismatch"),
+    "out-of-rank-order": (("samples",), _out_of_rank_order, "out of rank order"),
 }
-CASES = [(loader, brk) for loader in LOADERS for brk in BREAKS
-         if not brk.startswith("unknown") or loader in ("candidates", "scored", "samples")]
+CASES = [(loader, brk) for brk, (loaders, _, _) in BREAKS.items()
+         for loader in (loaders or LOADERS)]
 
 
 @pytest.mark.parametrize("loader,brk", CASES)
 def test_malformed_record_names_file_and_line(artifacts, tmp_path, loader, brk):
     root, inputs, pool = artifacts
     name, load, field = LOADERS[loader]
+    _, rewrite, reason = BREAKS[brk]
     first = (root / name).read_text(encoding="utf-8").splitlines()[0]
-    bad = BREAKS[brk](json.loads(first), field)
+    bad = rewrite(json.loads(first), field)
     path = tmp_path / name
     path.write_text(f"{first}\n{bad}\n", encoding="utf-8")
-    with pytest.raises(CorpusError, match=re.escape(f"{path}:2: malformed")):
+    with pytest.raises(CorpusError, match=re.escape(f"{path}:2: malformed") + ".*" + reason):
         load(path, inputs, pool)

@@ -20,7 +20,6 @@ from demorank.data import (
 )
 from demorank.reranker import (
     CrossEncoder,
-    DependencySample,
     EmptyListError,
     RerankerTrainConfig,
     SampleGroup,
@@ -41,6 +40,7 @@ from demorank.retriever import (
     EncoderConfig,
     NonFiniteLossError,
     ScoredCandidate,
+    ScoredCandidateSet,
     demo_text,
     input_text,
     score_candidates,
@@ -69,17 +69,17 @@ def make_input(qtext: str, ptext: str, label=Label.YES) -> TrainingInput:
     return TrainingInput(Query("q0", qtext), Passage("p0", ptext), label)
 
 
-def random_sample(rng, n_prefix: int, n_continuations: int) -> DependencySample:
+def random_sample(rng, n_prefix: int, n_continuations: int) -> ScoredCandidateSet:
     inp = make_input(random_text(rng), random_text(rng))
     prefix = tuple(make_demo(f"pre{i}", random_text(rng), random_text(rng))
                    for i in range(n_prefix))
     scores = np.sort(rng.random(n_continuations))[::-1]
-    conts = tuple(
+    conts = [
         ScoredCandidate(make_demo(f"c{i}", random_text(rng), random_text(rng)),
                         float(scores[i]))
         for i in range(n_continuations)
-    )
-    return DependencySample(inp, prefix, conts)
+    ]
+    return ScoredCandidateSet(inp, conts, prefix)
 
 
 class CountingScorer:
@@ -237,34 +237,19 @@ class TestRankSampling:
         b = [sample_by_rank([1, 2, 3, 4], np.random.default_rng(s)) for s in range(30)]
         assert a == b
 
+    def test_draw_past_a_rounded_down_cdf_picks_the_last_rank(self):
+        # these probabilities sum to just under 1 in rank order, so a draw
+        # just below 1 passes every step of the CDF walk
+        ranks = [3, 1, 6, 2, 5, 4]
+        below_one = float(np.nextafter(1.0, 0.0))
+        probs = rank_sample_probabilities(ranks)
+        assert sum(probs[np.argsort(ranks, kind="stable")].tolist()) < below_one
 
-class TestDependencySample:
-    def test_shot_is_prefix_length_plus_one(self):
-        rng = np.random.default_rng(42)
-        assert random_sample(rng, 0, 3).shot == 1
-        assert random_sample(rng, 2, 3).shot == 3
+        class TopDraw:
+            def random(self):
+                return below_one
 
-    def test_rejects_empty_continuations(self):
-        rng = np.random.default_rng(42)
-        inp = make_input(random_text(rng), random_text(rng))
-        with pytest.raises(ValueError, match="at least one continuation"):
-            DependencySample(inp, (), ())
-
-    def test_rejects_duplicate_continuation_demo(self):
-        rng = np.random.default_rng(42)
-        sample = random_sample(rng, 0, 2)
-        dup = sample.continuations[0]
-        with pytest.raises(ValueError, match="duplicate"):
-            DependencySample(sample.input, sample.prefix,
-                             (dup, ScoredCandidate(dup.demo, dup.llm_score - 0.1)))
-
-    def test_rejects_increasing_scores(self):
-        rng = np.random.default_rng(42)
-        sample = random_sample(rng, 0, 2)
-        c1, c2 = sample.continuations
-        with pytest.raises(ValueError, match="non-increasing"):
-            DependencySample(sample.input, sample.prefix,
-                             (ScoredCandidate(c1.demo, 0.1), ScoredCandidate(c2.demo, 0.9)))
+        assert sample_by_rank(ranks, TopDraw()) == 2
 
 
 class TestConstructSamples:
@@ -300,10 +285,10 @@ class TestConstructSamples:
             assert len(samples) == k
             for i, sample in enumerate(samples):
                 assert len(sample.prefix) == i
-                assert len(sample.continuations) == m - i
+                assert len(sample.candidates) == m - i
                 assert sample.shot == i + 1
                 assert len({d.ref for d in sample.prefix}) == i
-                for cont in sample.continuations:
+                for cont in sample.candidates:
                     assert cont.demo not in sample.prefix
                     assert cont.demo.ref in retrieved_refs
 
@@ -316,7 +301,7 @@ class TestConstructSamples:
         samples = construct_samples(inp, retrieved, backend, template, 2,
                                     np.random.default_rng(5))
         for sample in samples:
-            for cont in sample.continuations:
+            for cont in sample.candidates:
                 expected = score_list(backend, template, [*sample.prefix, cont.demo], inp)
                 assert cont.llm_score == pytest.approx(expected, abs=1e-12)
 
@@ -330,8 +315,7 @@ class TestConstructSamples:
             first = construct_samples(inp, retrieved, backend, template, 2,
                                       np.random.default_rng(trial))[0]
             scored = score_candidates(backend, template, inp, retrieved)
-            assert first.prefix == ()
-            assert first.continuations == tuple(scored.candidates[i] for i in scored.order())
+            assert first == scored
 
     def test_score_candidates_without_prefix_matches_single_demo_scores(self):
         rng = np.random.default_rng(42)
@@ -364,8 +348,8 @@ class TestConstructSamples:
                                     np.random.default_rng(5))
         for sample in samples:
             unselected = [d for d in retrieved if d not in sample.prefix]
-            assert [c.demo for c in sample.continuations] == unselected
-            assert len({c.llm_score for c in sample.continuations}) == 1
+            assert [c.demo for c in sample.ranked()] == unselected
+            assert len({c.llm_score for c in sample.candidates}) == 1
         assert drawn_ranks == [list(range(1, m - i + 1)) for i in range(k)]
 
     def test_iteration_bounds(self):
@@ -384,8 +368,8 @@ class TestConstructSamples:
         assert len(again) == len(toy_chain["samples"])
         for a, b in zip(again, toy_chain["samples"]):
             assert a.input.input_id == b.input.input_id
-            assert [c.demo.ref for c in a.continuations] == \
-                [c.demo.ref for c in b.continuations]
+            assert [c.demo.ref for c in a.candidates] == \
+                [c.demo.ref for c in b.candidates]
 
     def test_corpus_seed_changes_trajectories(self, toy_chain):
         other = construct_samples_for_corpus(
@@ -413,7 +397,7 @@ class TestListPairwiseLoss:
         model.w2 = np.zeros_like(model.w2)
         samples = [random_sample(rng, int(rng.integers(0, 2)), int(rng.integers(2, 6)))
                    for _ in range(5)]
-        expected = sum(math.comb(len(s.continuations), 2) for s in samples) * math.log(2)
+        expected = sum(math.comb(len(s.candidates), 2) for s in samples) * math.log(2)
         assert list_pairwise_loss(model, samples) == pytest.approx(expected, abs=1e-9)
 
     def test_matches_pairwise_reimplementation(self):
@@ -422,7 +406,7 @@ class TestListPairwiseLoss:
         for _ in range(10):
             sample = random_sample(rng, int(rng.integers(0, 3)), int(rng.integers(2, 6)))
             scores = [cross_score(model, sample.input, [*sample.prefix, c.demo])
-                      for c in sample.continuations]
+                      for c in sample.ranked()]
             expected = 0.0
             for i in range(len(scores)):
                 for j in range(i + 1, len(scores)):
@@ -524,7 +508,7 @@ class TestTrainReranker:
         samples = toy_chain["samples"]
         texts = {input_text(s.input.query.text, s.input.passage.text) for s in samples}
         texts |= {demo_text(d) for s in samples
-                  for d in (*s.prefix, *(c.demo for c in s.continuations))}
+                  for d in (*s.prefix, *(c.demo for c in s.candidates))}
         model = CrossEncoder.init(toy_chain["config"], 8, 37)
         text_features.cache_clear()
         train_reranker(model, samples, RerankerTrainConfig(epochs=2), 41)
@@ -683,10 +667,7 @@ class TestSampleIO:
             assert back.input.input_id == orig.input.input_id
             assert back.shot == orig.shot
             assert tuple(d.ref for d in back.prefix) == tuple(d.ref for d in orig.prefix)
-            assert [c.demo.ref for c in back.continuations] == \
-                [c.demo.ref for c in orig.continuations]
-            assert [c.llm_score for c in back.continuations] == \
-                [c.llm_score for c in orig.continuations]
+            assert back.candidates == back.ranked() == orig.ranked()
 
     def test_unknown_input_rejected(self, tmp_path):
         pool, inputs, samples = self.build_corpus()

@@ -30,6 +30,7 @@ from demorank.retriever import (
     ranknet_set_loss_and_grad,
     retrieve_topD,
     retriever_corpus_loss,
+    score_candidates,
     scatter_feats,
     set_loss_and_grad,
     sgd_rows,
@@ -39,6 +40,7 @@ from demorank.retriever import (
     train_retriever,
     write_scored_sets,
 )
+from demorank.scoring import MockScorer, PromptTemplate
 
 WORDS = [
     "ocean", "tide", "coral", "reef", "lava", "magma", "crater", "basalt",
@@ -317,7 +319,7 @@ class TestCombinedLoss:
         feats = text_features(
             input_text(cand_set.input.query.text, cand_set.input.passage.text), 16)
         demo_feats = [text_features(demo_text(c.demo), 16) for c in cand_set.candidates]
-        pos, ranks = cand_set.positive_index(), cand_set.ranks()
+        pos, ranks = cand_set.order()[0], cand_set.ranks()
         c_loss, c_grad = contrastive_set_loss_and_grad(table, feats, demo_feats, pos)
         r_loss, r_grad = ranknet_set_loss_and_grad(table, feats, demo_feats, ranks)
         for lam in (0.2, 0.0):
@@ -329,17 +331,40 @@ class TestCombinedLoss:
 class TestScoredCandidateSet:
     def test_ranks_break_ties_by_ordinal(self):
         rng = np.random.default_rng(42)
-        cand_set = make_candidate_set(rng, 3)
-        cand_set.candidates = [
-            ScoredCandidate(c.demo, s)
-            for c, s in zip(cand_set.candidates, [0.5, 0.9, 0.5])
-        ]
+        cands = make_candidate_set(rng, 3).candidates
+        cand_set = ScoredCandidateSet(make_input("a", "b"), [
+            ScoredCandidate(c.demo, s) for c, s in zip(cands, [0.5, 0.9, 0.5])])
         assert cand_set.ranks() == [2, 1, 3]
-        assert cand_set.positive_index() == 1
+        assert cand_set.order()[0] == 1
+        assert cand_set.ranked() == [cand_set.candidates[i] for i in (1, 0, 2)]
+
+    def test_shot_is_prefix_length_plus_one(self):
+        rng = np.random.default_rng(42)
+        cand_set = make_candidate_set(rng, 3)
+        assert cand_set.shot == 1
+        prefix = tuple(make_demo(f"pq{i}", "a", f"pp{i}", "b") for i in range(2))
+        assert ScoredCandidateSet(cand_set.input, cand_set.candidates, prefix).shot == 3
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty candidate set"):
             ScoredCandidateSet(make_input("a", "b"), [])
+
+    def test_repeated_candidate_demo_rejected(self):
+        rng = np.random.default_rng(42)
+        first = make_candidate_set(rng, 2).candidates[0]
+        with pytest.raises(ValueError, match="repeated candidate demo"):
+            ScoredCandidateSet(make_input("a", "b"),
+                               [first, ScoredCandidate(first.demo, first.llm_score - 0.1)])
+
+    def test_score_candidates_keeps_a_snapshot_of_the_prefix(self):
+        rng = np.random.default_rng(42)
+        demos = [c.demo for c in make_candidate_set(rng, 3).candidates]
+        prefix = demos[:1]
+        scored = score_candidates(MockScorer(), PromptTemplate(), make_input("a", "b"),
+                                  demos[1:], prefix)
+        prefix.append(demos[1])
+        assert scored.prefix == (demos[0],)
+        assert scored.shot == 2
 
 
 def relative_error(analytic: float, fd: float) -> float:
@@ -359,12 +384,12 @@ class TestSetLossAndGrad:
             u = encode(model, input_text(inp.query.text, inp.passage.text))
             scores = np.array([float(u @ encode(model, demo_text(c.demo)))
                                for c in cand_set.candidates])
-            expected = (0.2 * contrastive_loss_and_grad(scores, cand_set.positive_index())[0]
+            expected = (0.2 * contrastive_loss_and_grad(scores, cand_set.order()[0])[0]
                         + ranknet_loss_and_grad(scores, cand_set.ranks())[0])
             feats = text_features(input_text(inp.query.text, inp.passage.text), 16)
             demo_feats = [text_features(demo_text(c.demo), 16) for c in cand_set.candidates]
             loss, _ = set_loss_and_grad(model.embeddings, feats, demo_feats,
-                                        cand_set.positive_index(), cand_set.ranks(), 0.2)
+                                        cand_set.order()[0], cand_set.ranks(), 0.2)
             assert loss == pytest.approx(expected, abs=1e-9)
 
     def test_combined_grad_matches_finite_differences(self):
@@ -376,7 +401,7 @@ class TestSetLossAndGrad:
             feats = text_features(
                 input_text(cand_set.input.query.text, cand_set.input.passage.text), 16)
             demo_feats = [text_features(demo_text(c.demo), 16) for c in cand_set.candidates]
-            pos, ranks = cand_set.positive_index(), cand_set.ranks()
+            pos, ranks = cand_set.order()[0], cand_set.ranks()
             _, grad = set_loss_and_grad(model.embeddings, feats, demo_feats, pos, ranks, 0.2)
             table = model.embeddings.copy()
             for r in range(16):
@@ -398,7 +423,7 @@ class TestSetLossAndGrad:
             feats = text_features(
                 input_text(cand_set.input.query.text, cand_set.input.passage.text), 16)
             demo_feats = [text_features(demo_text(c.demo), 16) for c in cand_set.candidates]
-            pos = cand_set.positive_index()
+            pos = cand_set.order()[0]
             _, grad = contrastive_set_loss_and_grad(model.embeddings, feats, demo_feats, pos)
             table = model.embeddings.copy()
             for r in range(16):

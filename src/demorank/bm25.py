@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import log
 
-from .data import Demonstration, TrainingInput
+from .data import Demonstration, TrainingInput, pair_text
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -67,12 +67,8 @@ def build_index(texts: list[str]) -> InvertedIndex:
     return InvertedIndex(postings, lengths, avg)
 
 
-def demo_index_text(demo: Demonstration) -> str:
-    return f"{demo.query.text} {demo.passage.text}"
-
-
 def build_pool_index(pool: list[Demonstration]) -> InvertedIndex:
-    return build_index([demo_index_text(d) for d in pool])
+    return build_index([pair_text(d) for d in pool])
 
 
 def bm25_search(index: InvertedIndex, params: Bm25Params, query_text: str,
@@ -115,8 +111,7 @@ def mine_candidates(pool: list[Demonstration], index: InvertedIndex, input: Trai
         raise ValueError("b must be positive")
     if len(pool) < 2 * b:
         raise PoolTooSmallError(f"pool has {len(pool)} demos, need at least {2 * b}")
-    key = f"{input.query.text} {input.passage.text}"
-    hits = [ordinal for ordinal, _ in bm25_search(index, params, key, top=b)]
+    hits = [ordinal for ordinal, _ in bm25_search(index, params, pair_text(input), top=b)]
     hit_set = set(hits)
     rest = [i for i in range(len(pool)) if i not in hit_set]
     need = 2 * b - len(hits)

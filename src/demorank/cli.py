@@ -356,9 +356,8 @@ def _build_samples(ws: Workspace, out: dict[str, Path]) -> str:
         raise ConfigError(f"reranker.iterations is {cfg.reranker.iterations} but the pool "
                           f"has {len(ws.pool)} demos; lower it or build a larger pool")
     m = min(cfg.reranker.retrieve_m, len(ws.pool))
-    model = ws.model("retriever")
-    index = retriever.DenseIndex.build(model, ws.pool)
-    retrieved = [retriever.retrieve_topD(index, model, inp, m) for inp in ws.training_inputs]
+    index = retriever.DenseIndex.build(ws.model("retriever"), ws.pool)
+    retrieved = [retriever.retrieve_topD(index, inp, m) for inp in ws.training_inputs]
     samples = reranker.construct_samples_for_corpus(
         ws.training_inputs, retrieved, ws.backend, cfg.template,
         cfg.reranker.iterations, cfg.seeds.sampling, cfg.reranker.trajectories)

@@ -87,6 +87,12 @@ class TrainingInput:
         return f"{self.query.id}::{self.passage.id}::{self.gold.value}"
 
 
+def pair_text(pair) -> str:
+    """A query-passage pair (anything with `.query` and `.passage`) as the one
+    text BM25, both encoders and the mock judge read: query, space, passage."""
+    return f"{pair.query.text} {pair.passage.text}"
+
+
 @dataclass
 class Dataset:
     queries: list[Query]
@@ -264,12 +270,22 @@ class RefResolver:
         return demo
 
 
+def _id_and_text(obj: dict) -> tuple[str, str]:
+    """A query or passage record's id, a JSON string or integer (read as its
+    decimal string), and its text, a JSON string."""
+    if type(obj["id"]) not in (str, int):
+        raise TypeError(f"id is not a JSON string or integer: {obj['id']!r}")
+    if type(obj["text"]) is not str:
+        raise TypeError(f"text is not a JSON string: {obj['text']!r}")
+    return str(obj["id"]), obj["text"]
+
+
 def load_queries(path: str | Path) -> list[Query]:
-    return read_jsonl(path, lambda obj: Query(str(obj["id"]), str(obj["text"])), "query")
+    return read_jsonl(path, lambda obj: Query(*_id_and_text(obj)), "query")
 
 
 def load_passages(path: str | Path) -> list[Passage]:
-    return read_jsonl(path, lambda obj: Passage(str(obj["id"]), str(obj["text"])), "passage")
+    return read_jsonl(path, lambda obj: Passage(*_id_and_text(obj)), "passage")
 
 
 def load_qrels(path: str | Path) -> list[RelJudgment]:

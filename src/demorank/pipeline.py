@@ -70,20 +70,19 @@ def greedy_select_from(candidates: list[Demonstration], k: int,
     return selected
 
 
-def greedy_select(input, retriever: BiEncoder, index: DenseIndex,
-                  reranker: CrossEncoder, D: int, k: int,
-                  encodings: Callable[[str], np.ndarray] | None = None) -> list[Demonstration]:
-    """Retrieve top-D with the bi-encoder, then greedily pick k by reranker score.
+def greedy_select(input, index: DenseIndex, reranker: CrossEncoder, D: int, k: int,
+                  encodings: Callable[[str], np.ndarray]) -> list[Demonstration]:
+    """Retrieve top-D with the index's bi-encoder, then greedily pick k by
+    reranker score.
 
-    Each text is encoded by the reranker once per `encodings` memo, however
-    many rounds and calls score it.
+    `encodings` is an `encoding_cache(reranker.embeddings)`: each text is
+    encoded once per memo, however many rounds and calls score it.
     """
     if k > D:
         raise ValueError(f"k={k} must not exceed D={D}")
-    candidates = retrieve_topD(index, retriever, input, D)
-    enc = encodings if encodings is not None else encoding_cache(reranker.embeddings)
     return greedy_select_from(
-        candidates, k, lambda prefix, rem: cross_score_batch(reranker, input, prefix, rem, enc))
+        retrieve_topD(index, input, D), k,
+        lambda prefix, rem: cross_score_batch(reranker, input, prefix, rem, encodings))
 
 
 def brute_force_best_list(input: TrainingInput, candidates: list[Demonstration],
@@ -305,10 +304,9 @@ def _selector(policy: str, ctx: PolicyContext
         return lambda input, rng: by_query(input.query.text)
     dense = DenseIndex.build(ctx.retriever, ctx.pool)
     if policy == "retriever-topk":
-        return lambda input, rng: retrieve_topD(dense, ctx.retriever, input, d)[:shots]
+        return lambda input, rng: retrieve_topD(dense, input, d)[:shots]
     encodings = encoding_cache(ctx.reranker.embeddings)  # the reranker is frozen while ranking
-    return lambda input, rng: greedy_select(input, ctx.retriever, dense, ctx.reranker,
-                                            d, shots, encodings)
+    return lambda input, rng: greedy_select(input, dense, ctx.reranker, d, shots, encodings)
 
 
 def run_policy(policy: str, dataset: Dataset, ctx: PolicyContext,

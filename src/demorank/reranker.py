@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Demonstration, RefResolver, TrainingInput, read_jsonl, write_jsonl
+from .data import Demonstration, RefResolver, TrainingInput, pair_text, read_jsonl, write_jsonl
 from .retriever import (
     EncoderConfig,
     ScoredCandidate,
@@ -31,7 +31,6 @@ from .retriever import (
     encode_feats,
     encoding_cache,
     feats_rows,
-    input_text,
     scatter_feats,
     score_candidates,
     snap_f32,
@@ -132,7 +131,7 @@ def cross_score_batch(model: CrossEncoder, input, prefix, candidates,
     if not candidates:
         return np.empty(0, dtype=np.float64)
     enc = encodings if encodings is not None else encoding_cache(model.embeddings)
-    x = _features(enc(input_text(input.query.text, input.passage.text)),
+    x = _features(enc(pair_text(input)),
                   [enc(demo_text(d)) for d in prefix],
                   np.stack([enc(demo_text(z)) for z in candidates]))
     return _forward(model, x)[0]
@@ -245,7 +244,7 @@ class SampleGroup:
         def ids(texts) -> list[int]:
             return [index.setdefault(t, len(index)) for t in texts]
 
-        indexed = [(ids([input_text(s.input.query.text, s.input.passage.text)])[0],
+        indexed = [(ids([pair_text(s.input)])[0],
                     ids(demo_text(d) for d in s.prefix),
                     ids(demo_text(c.demo) for c in s.ranked())) for s in samples]
         features = [text_features(t, buckets) for t in index]

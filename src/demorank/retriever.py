@@ -2,8 +2,8 @@
 
 Texts are tokenized, each token is FNV-1a-hashed into one of `vocab_buckets`
 rows of a shared embedding table, and the text encoding is the mean of its
-token rows.  Inputs render as "query passage"; demonstrations additionally
-append their label.  Similarity is the dot product.
+token rows.  An input is read as its `pair_text`; a demonstration also
+appends its label.  Similarity is the dot product.
 
 Training minimizes lam * contrastive + ranknet over scored candidate sets,
 by plain full-set gradient descent, one step per training input.  Parameters
@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .bm25 import tokenize
-from .data import Demonstration, RefResolver, TrainingInput, read_jsonl, write_jsonl
+from .data import Demonstration, RefResolver, TrainingInput, pair_text, read_jsonl, write_jsonl
 from .scoring import PromptTemplate, ScorerBackend, json_number, score_lists
 
 logger = logging.getLogger(__name__)
@@ -58,12 +58,8 @@ def text_features(text: str, buckets: int) -> tuple[np.ndarray, np.ndarray]:
     return feats
 
 
-def input_text(query_text: str, passage_text: str) -> str:
-    return f"{query_text} {passage_text}"
-
-
 def demo_text(demo: Demonstration) -> str:
-    return f"{demo.query.text} {demo.passage.text} {demo.label.value}"
+    return f"{pair_text(demo)} {demo.label.value}"
 
 
 def snap_f32(arr: np.ndarray) -> np.ndarray:
@@ -147,7 +143,7 @@ def encode(model: BiEncoder, text: str) -> np.ndarray:
 
 
 def similarity(model: BiEncoder, input, demo: Demonstration) -> float:
-    u = encode(model, input_text(input.query.text, input.passage.text))
+    u = encode(model, pair_text(input))
     v = encode(model, demo_text(demo))
     return float(u @ v)
 
@@ -207,7 +203,8 @@ class ScoredCandidate:
 @dataclass(frozen=True)
 class ScoredCandidateSet:
     """Candidates scored as the last demo of prefix + [candidate]: a retriever
-    set (no prefix) or a reranker sample (a construction round's prefix)."""
+    set (no prefix) or a reranker sample (a construction round's prefix).
+    Prefix and candidates name each demo once."""
 
     input: TrainingInput
     candidates: list[ScoredCandidate]
@@ -216,7 +213,8 @@ class ScoredCandidateSet:
     def __post_init__(self) -> None:
         if not self.candidates:
             raise ValueError(f"empty candidate set for {self.input.input_id}")
-        if len({c.demo.ref for c in self.candidates}) < len(self.candidates):
+        refs = [d.ref for d in self.prefix] + [c.demo.ref for c in self.candidates]
+        if len(set(refs)) < len(refs):
             raise ValueError(f"repeated candidate demo for {self.input.input_id}")
 
     @property
@@ -315,8 +313,7 @@ def _set_inputs(cand_set: ScoredCandidateSet, buckets: int):
     """A set's `set_loss_and_grad` inputs after the table: the input's and each
     candidate's features, the positive's index and every candidate's rank.
     The positive is the candidate ranked 1, so `order()` runs once."""
-    inp = cand_set.input
-    input_feats = text_features(input_text(inp.query.text, inp.passage.text), buckets)
+    input_feats = text_features(pair_text(cand_set.input), buckets)
     demo_feats = [text_features(demo_text(c.demo), buckets) for c in cand_set.candidates]
     ranks = cand_set.ranks()
     return input_feats, demo_feats, ranks.index(1), ranks
@@ -385,6 +382,7 @@ def retriever_corpus_loss(model: BiEncoder, sets: list[ScoredCandidateSet],
 
 @dataclass
 class DenseIndex:
+    model: BiEncoder  # encodes the pool and every input searched
     pool: list[Demonstration]
     matrix: np.ndarray  # (len(pool), dim)
     warned_oversized: bool = field(default=False, init=False)  # retrieve_topD warns once
@@ -394,19 +392,18 @@ class DenseIndex:
         if len(pool) == 0:
             raise ValueError("cannot index an empty pool")
         matrix = np.stack([encode(model, demo_text(d)) for d in pool])
-        return cls(pool, matrix)
+        return cls(model, pool, matrix)
 
 
-def retrieve_topD(index: DenseIndex, model: BiEncoder, input, D: int) -> list[Demonstration]:
-    """Top-D pool demos by dot-product similarity, ties by pool ordinal."""
+def retrieve_topD(index: DenseIndex, input, D: int) -> list[Demonstration]:
+    """Top-D pool demos by similarity under the index's model, ties by pool ordinal."""
     if D <= 0:
         raise ValueError("D must be positive")
     if D > len(index.pool) and not index.warned_oversized:
         logger.warning("requested top %d from a pool of %d; returning all",
                        D, len(index.pool))
         index.warned_oversized = True
-    u = encode(model, input_text(input.query.text, input.passage.text))
-    scores = index.matrix @ u
+    scores = index.matrix @ encode(index.model, pair_text(input))
     order = np.argsort(-scores, kind="stable")
     return [index.pool[int(i)] for i in order[:D]]
 

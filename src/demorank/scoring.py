@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Callable, Protocol
 from urllib.parse import urlsplit, urlunsplit
 
 from .bm25 import tokenize
-from .data import Demonstration, Label, LABEL_SPACE, TrainingInput
+from .data import Demonstration, Label, LABEL_SPACE, TrainingInput, pair_text
 
 if TYPE_CHECKING:
     import requests
@@ -205,10 +205,7 @@ class MockScorer:
 
         rel = 0.0
         if m:
-            rel = sum(
-                _jaccard(_word_set(f"{d.query.text} {d.passage.text}"), input_words)
-                for d in demos
-            ) / m
+            rel = sum(_jaccard(_word_set(pair_text(d)), input_words) for d in demos) / m
 
         div = 0.0
         if m > 1:

@@ -18,7 +18,7 @@ import pytest
 
 from demorank import cli
 from demorank.config import ExperimentConfig
-from demorank.data import Label, TrainingInput, build_pool, build_training_inputs
+from demorank.data import Label, TrainingInput, build_pool, build_training_inputs, pair_text
 from demorank.reranker import (
     CrossEncoder,
     construct_samples_for_corpus,
@@ -31,7 +31,6 @@ from demorank.retriever import (
     EncoderConfig,
     encode,
     demo_text,
-    input_text,
     load_scored_sets,
     retrieve_topD,
     train_retriever,
@@ -81,7 +80,7 @@ class DeskState:
             best = {i for i, c in enumerate(cand_set.candidates)
                     if c.llm_score >= top - 1e-12}
             inp = cand_set.input
-            u = encode(model, input_text(inp.query.text, inp.passage.text))
+            u = encode(model, pair_text(inp))
             sims = [float(u @ encode(model, demo_text(c.demo)))
                     for c in cand_set.candidates]
             order = sorted(range(len(sims)), key=lambda i: (-sims[i], i))
@@ -120,7 +119,7 @@ def toy_chain():
     config = EncoderConfig(vocab_buckets=256, dim=16)
     retriever = BiEncoder.init(config, 23)
     index = DenseIndex.build(retriever, pool)
-    retrieved = [retrieve_topD(index, retriever, inp, 8) for inp in inputs]
+    retrieved = [retrieve_topD(index, inp, 8) for inp in inputs]
     samples = construct_samples_for_corpus(inputs, retrieved, backend, template, 2, 31)
     return {
         "config": config, "pool": pool, "inputs": inputs, "backend": backend,
@@ -161,7 +160,7 @@ def desk_state(tmp_path_factory) -> DeskState:
             held_inputs.append(TrainingInput(q, passages_by_id[rng.choice(irr)],
                                              Label.NO))
     index = DenseIndex.build(retr_all, pool)
-    held_retrieved = [retrieve_topD(index, retr_all, inp, cfg.reranker.retrieve_m)
+    held_retrieved = [retrieve_topD(index, inp, cfg.reranker.retrieve_m)
                       for inp in held_inputs]
     held_samples = construct_samples_for_corpus(held_inputs, held_retrieved, s.backend,
                                                 cfg.template, cfg.reranker.iterations,

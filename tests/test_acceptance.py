@@ -43,6 +43,7 @@ from demorank.data import (
     Passage,
     Query,
     TrainingInput,
+    pair_text,
 )
 from demorank.pipeline import (
     POLICIES,
@@ -74,7 +75,6 @@ from demorank.retriever import (
     contrastive_set_loss_and_grad,
     demo_text,
     encode,
-    input_text,
     ranknet_loss_and_grad,
     ranknet_set_loss_and_grad,
     retrieve_topD,
@@ -186,8 +186,7 @@ class TestAcceptanceCriteria:
         for _ in range(100):
             model = BiEncoder.init(config, int(rng.integers(100000)))
             cand_set = make_candidate_set(rng, int(rng.integers(2, 7)))
-            feats = text_features(
-                input_text(cand_set.input.query.text, cand_set.input.passage.text), 16)
+            feats = text_features(pair_text(cand_set.input), 16)
             demo_feats = [text_features(demo_text(c.demo), 16)
                           for c in cand_set.candidates]
             pos, ranks = cand_set.order()[0], cand_set.ranks()
@@ -394,12 +393,12 @@ class TestAcceptanceCriteria:
             inp = make_input(random_text(rng), random_text(rng))
             index = DenseIndex.build(model, pool)
             d_req = int(rng.integers(1, n + 1))
-            got = [d.ref for d in retrieve_topD(index, model, inp, d_req)]
+            got = [d.ref for d in retrieve_topD(index, inp, d_req)]
             sims = [similarity(model, inp, demo) for demo in pool]
             order = sorted(range(len(pool)), key=lambda i: (-sims[i], i))
             if got != [pool[i].ref for i in order[:d_req]]:
                 dense_mismatches += 1
-            u = encode(model, input_text(inp.query.text, inp.passage.text))
+            u = encode(model, pair_text(inp))
             for i in range(len(pool)):
                 worst_dense = max(worst_dense, abs(float(index.matrix[i] @ u) - sims[i]))
         bm25_mismatches = 0

@@ -99,6 +99,7 @@ LOADERS = {
 }
 GHOST = ["ghost", "ghost", "Yes"]
 SCORED = ("scored", "samples")
+TEXTS = ("queries", "passages")
 
 
 def _unknown_demo(obj: dict, field: str) -> str:
@@ -137,6 +138,14 @@ def _repeated_demo(obj: dict, field: str) -> str:
     return json.dumps(obj)
 
 
+def _prefix_plus(pick):
+    """One more prefix demo, `pick(record)`, with the shot kept consistent."""
+    def brk(obj: dict, field: str) -> str:
+        obj["prefix"].append(pick(obj))
+        return json.dumps({**obj, "shot": obj["shot"] + 1})
+    return brk
+
+
 def _out_of_rank_order(obj: dict, field: str) -> str:
     """The prefix demo moved to a last continuation that outscores the first."""
     obj["continuations"].append({"last": obj["prefix"].pop(), "llm_score": 1.0})
@@ -161,6 +170,17 @@ BREAKS = {
     "fractional-shot": (("samples",), _shot(2.5), "shot mismatch"),
     "string-shot": (("samples",), _shot("2"), "shot mismatch"),
     "out-of-rank-order": (("samples",), _out_of_rank_order, "out of rank order"),
+    "repeated-prefix-demo": (("samples",), _prefix_plus(lambda obj: obj["prefix"][0]),
+                             "repeated candidate demo"),
+    "continuation-in-prefix": (("samples",),
+                               _prefix_plus(lambda obj: obj["continuations"][0]["last"]),
+                               "repeated candidate demo"),
+    "null-text": (TEXTS, lambda obj, field: json.dumps({**obj, "text": None}),
+                  "text is not a JSON string"),
+    "list-text": (TEXTS, lambda obj, field: json.dumps({**obj, "text": ["a", "b"]}),
+                  "text is not a JSON string"),
+    "bool-id": (TEXTS, lambda obj, field: json.dumps({**obj, "id": True}),
+                "id is not a JSON string or integer"),
 }
 CASES = [(loader, brk) for brk, (loaders, _, _) in BREAKS.items()
          for loader in (loaders or LOADERS)]

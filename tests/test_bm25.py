@@ -12,7 +12,6 @@ from demorank.bm25 import (
     bm25_search,
     build_index,
     build_pool_index,
-    demo_index_text,
     mine_candidates,
     tokenize,
 )
@@ -24,7 +23,9 @@ from demorank.data import (
     RelJudgment,
     TrainingInput,
     build_pool,
+    pair_text,
 )
+from demorank.pipeline import RankInput
 
 WORDS = ["ocean", "tide", "coral", "reef", "lava", "magma", "crater",
          "basalt", "fern", "moss", "lichen", "spore", "quartz", "slate",
@@ -224,10 +225,10 @@ class TestMineCandidates:
 
 
 class TestPoolIndexing:
-    def test_demo_index_text_concatenates_query_and_passage(self):
-        pool = make_pool()
-        demo = pool[0]
-        assert demo_index_text(demo) == f"{demo.query.text} {demo.passage.text}"
+    def test_pair_text_concatenates_query_and_passage(self):
+        demo = make_pool()[0]
+        assert pair_text(demo) == f"{demo.query.text} {demo.passage.text}"
+        assert pair_text(RankInput(demo.query, demo.passage)) == pair_text(demo)
 
     def test_pool_index_covers_every_demo(self):
         pool = make_pool()

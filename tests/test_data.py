@@ -248,6 +248,11 @@ class TestFileRoundTrips:
         write_jsonl_texts(tmp_path / "passages.jsonl", ps)
         assert load_passages(tmp_path / "passages.jsonl") == ps
 
+    def test_integer_ids_read_as_decimal_strings(self, tmp_path):
+        path = tmp_path / "queries.jsonl"
+        path.write_text('{"id": 7, "text": "reef"}\n{"id": -3, "text": ""}\n')
+        assert load_queries(path) == [Query("7", "reef"), Query("-3", "")]
+
     def test_qrels_round_trip(self, tmp_path):
         js = [RelJudgment("q0", "p0", 1), RelJudgment("q0", "p1", 0),
               RelJudgment("q1", "p2", 2)]

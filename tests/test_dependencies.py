@@ -89,6 +89,30 @@ def test_every_parameter_in_src_is_read():
     assert not unused, sorted(unused)
 
 
+def pair_renderings(path: Path) -> set[str]:
+    """`module:line` of each f-string that formats both a `.query.text` and a
+    `.passage.text`, outside `data.pair_text`, the one rendering of a pair."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    exempt = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and (path.stem, fn.name) == ("data", "pair_text")
+              for node in ast.walk(fn)}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr) and id(node) not in exempt:
+            halves = {sub.value.attr for sub in ast.walk(node)
+                      if isinstance(sub, ast.Attribute) and sub.attr == "text"
+                      and isinstance(sub.value, ast.Attribute)}
+            if {"query", "passage"} <= halves:
+                found.add(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_pair_text_is_the_one_rendering_of_a_pair():
+    modules = sorted(Path(demorank.__file__).parent.glob("*.py"))
+    found = set().union(*(pair_renderings(path) for path in modules))
+    assert not found, sorted(found)
+
+
 def test_package_import_loads_no_module():
     """Names are imported from their modules; `import demorank` alone loads
     no submodule and no numpy."""

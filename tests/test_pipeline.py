@@ -39,7 +39,7 @@ from demorank.pipeline import (
     write_run,
 )
 from demorank.reranker import CrossEncoder
-from demorank.retriever import BiEncoder, DenseIndex, EncoderConfig
+from demorank.retriever import BiEncoder, DenseIndex, EncoderConfig, encoding_cache
 from demorank.scoring import (LabelDistribution, MockScorer, PromptTemplate, ScoreRequest,
                               score_list)
 from demorank.synth import SynthParams, generate_synthetic_dataset
@@ -191,7 +191,8 @@ class TestGreedySelectFrom:
         pool = sorted(demos, key=lambda d: d.ref)
         index = DenseIndex.build(model, pool)
         with pytest.raises(ValueError, match="must not exceed"):
-            greedy_select(make_input("a", "b"), model, index, reranker, D=2, k=3)
+            greedy_select(make_input("a", "b"), index, reranker, D=2, k=3,
+                          encodings=encoding_cache(reranker.embeddings))
 
 
 class TestBruteForceBestList:

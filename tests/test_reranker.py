@@ -17,6 +17,7 @@ from demorank.data import (
     TrainingInput,
     build_pool,
     build_training_inputs,
+    pair_text,
 )
 from demorank.reranker import (
     CrossEncoder,
@@ -42,7 +43,6 @@ from demorank.retriever import (
     ScoredCandidate,
     ScoredCandidateSet,
     demo_text,
-    input_text,
     score_candidates,
     snap_f32,
     text_features,
@@ -400,6 +400,9 @@ class TestListPairwiseLoss:
         expected = sum(math.comb(len(s.candidates), 2) for s in samples) * math.log(2)
         assert list_pairwise_loss(model, samples) == pytest.approx(expected, abs=1e-9)
 
+    def test_no_samples_give_zero(self):
+        assert list_pairwise_loss(hand_model(), []) == 0.0
+
     def test_matches_pairwise_reimplementation(self):
         rng = np.random.default_rng(42)
         model = CrossEncoder.init(EncoderConfig(vocab_buckets=64, dim=8), 4, 42)
@@ -506,7 +509,7 @@ class TestTrainReranker:
 
     def test_featurizes_each_distinct_text_once(self, toy_chain):
         samples = toy_chain["samples"]
-        texts = {input_text(s.input.query.text, s.input.passage.text) for s in samples}
+        texts = {pair_text(s.input) for s in samples}
         texts |= {demo_text(d) for s in samples
                   for d in (*s.prefix, *(c.demo for c in s.candidates))}
         model = CrossEncoder.init(toy_chain["config"], 8, 37)
@@ -579,9 +582,9 @@ class TestPreparationOutsideSteps:
     """Both trainers build texts, features and ranks once, before the first
     step, so that work does not grow with the number of epochs."""
 
-    COUNTED = [(reranker, "demo_text"), (reranker, "input_text"),
+    COUNTED = [(reranker, "demo_text"), (reranker, "pair_text"),
                (reranker, "text_features"), (reranker, "encoding_cache"),
-               (retriever, "demo_text"), (retriever, "input_text"),
+               (retriever, "demo_text"), (retriever, "pair_text"),
                (retriever, "text_features"), (retriever.ScoredCandidateSet, "order")]
 
     @pytest.fixture

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from demorank.data import Demonstration, Label, Passage, Query, TrainingInput
+from demorank.data import Demonstration, Label, Passage, Query, TrainingInput, pair_text
 from demorank.retriever import (
     BiEncoder,
     DenseIndex,
@@ -24,7 +24,6 @@ from demorank.retriever import (
     encoding_cache,
     feats_rows,
     fnv1a64,
-    input_text,
     load_scored_sets,
     ranknet_loss_and_grad,
     ranknet_set_loss_and_grad,
@@ -186,7 +185,7 @@ class TestSimilarity:
         for _ in range(20):
             inp = make_input(random_text(rng), random_text(rng))
             demo = make_demo("dq", random_text(rng), "dp", random_text(rng))
-            u = encode(model, input_text(inp.query.text, inp.passage.text))
+            u = encode(model, pair_text(inp))
             v = encode(model, demo_text(demo))
             assert similarity(model, inp, demo) == pytest.approx(float(u @ v), abs=1e-15)
 
@@ -316,8 +315,7 @@ class TestCombinedLoss:
         rng = np.random.default_rng(42)
         table = BiEncoder.init(EncoderConfig(vocab_buckets=16, dim=4), 42).embeddings
         cand_set = make_candidate_set(rng, 5)
-        feats = text_features(
-            input_text(cand_set.input.query.text, cand_set.input.passage.text), 16)
+        feats = text_features(pair_text(cand_set.input), 16)
         demo_feats = [text_features(demo_text(c.demo), 16) for c in cand_set.candidates]
         pos, ranks = cand_set.order()[0], cand_set.ranks()
         c_loss, c_grad = contrastive_set_loss_and_grad(table, feats, demo_feats, pos)
@@ -356,6 +354,13 @@ class TestScoredCandidateSet:
             ScoredCandidateSet(make_input("a", "b"),
                                [first, ScoredCandidate(first.demo, first.llm_score - 0.1)])
 
+    def test_demo_named_twice_across_prefix_and_candidates_rejected(self):
+        rng = np.random.default_rng(42)
+        cands = make_candidate_set(rng, 3).candidates
+        for prefix in ((cands[2].demo, cands[2].demo), (cands[0].demo,)):
+            with pytest.raises(ValueError, match="repeated candidate demo"):
+                ScoredCandidateSet(make_input("a", "b"), cands[:2], prefix)
+
     def test_score_candidates_keeps_a_snapshot_of_the_prefix(self):
         rng = np.random.default_rng(42)
         demos = [c.demo for c in make_candidate_set(rng, 3).candidates]
@@ -381,12 +386,12 @@ class TestSetLossAndGrad:
         for _ in range(10):
             cand_set = make_candidate_set(rng, int(rng.integers(2, 7)))
             inp = cand_set.input
-            u = encode(model, input_text(inp.query.text, inp.passage.text))
+            u = encode(model, pair_text(inp))
             scores = np.array([float(u @ encode(model, demo_text(c.demo)))
                                for c in cand_set.candidates])
             expected = (0.2 * contrastive_loss_and_grad(scores, cand_set.order()[0])[0]
                         + ranknet_loss_and_grad(scores, cand_set.ranks())[0])
-            feats = text_features(input_text(inp.query.text, inp.passage.text), 16)
+            feats = text_features(pair_text(inp), 16)
             demo_feats = [text_features(demo_text(c.demo), 16) for c in cand_set.candidates]
             loss, _ = set_loss_and_grad(model.embeddings, feats, demo_feats,
                                         cand_set.order()[0], cand_set.ranks(), 0.2)
@@ -398,8 +403,7 @@ class TestSetLossAndGrad:
         for _ in range(8):
             model = BiEncoder.init(self.config, int(rng.integers(1000)))
             cand_set = make_candidate_set(rng, int(rng.integers(2, 7)))
-            feats = text_features(
-                input_text(cand_set.input.query.text, cand_set.input.passage.text), 16)
+            feats = text_features(pair_text(cand_set.input), 16)
             demo_feats = [text_features(demo_text(c.demo), 16) for c in cand_set.candidates]
             pos, ranks = cand_set.order()[0], cand_set.ranks()
             _, grad = set_loss_and_grad(model.embeddings, feats, demo_feats, pos, ranks, 0.2)
@@ -420,8 +424,7 @@ class TestSetLossAndGrad:
         for _ in range(5):
             model = BiEncoder.init(self.config, int(rng.integers(1000)))
             cand_set = make_candidate_set(rng, int(rng.integers(2, 7)))
-            feats = text_features(
-                input_text(cand_set.input.query.text, cand_set.input.passage.text), 16)
+            feats = text_features(pair_text(cand_set.input), 16)
             demo_feats = [text_features(demo_text(c.demo), 16) for c in cand_set.candidates]
             pos = cand_set.order()[0]
             _, grad = contrastive_set_loss_and_grad(model.embeddings, feats, demo_feats, pos)
@@ -442,8 +445,7 @@ class TestSetLossAndGrad:
         for _ in range(5):
             model = BiEncoder.init(self.config, int(rng.integers(1000)))
             cand_set = make_candidate_set(rng, int(rng.integers(2, 7)))
-            feats = text_features(
-                input_text(cand_set.input.query.text, cand_set.input.passage.text), 16)
+            feats = text_features(pair_text(cand_set.input), 16)
             demo_feats = [text_features(demo_text(c.demo), 16) for c in cand_set.candidates]
             ranks = cand_set.ranks()
             _, grad = ranknet_set_loss_and_grad(model.embeddings, feats, demo_feats, ranks)
@@ -505,7 +507,7 @@ class TestTrainRetriever:
     def test_featurizes_each_distinct_text_once(self):
         rng = np.random.default_rng(42)
         sets = self.make_sets(rng)
-        texts = {input_text(s.input.query.text, s.input.passage.text) for s in sets}
+        texts = {pair_text(s.input) for s in sets}
         texts |= {demo_text(c.demo) for s in sets for c in s.candidates}
         model = BiEncoder.init(EncoderConfig(vocab_buckets=64, dim=8), 42)
         text_features.cache_clear()
@@ -620,7 +622,7 @@ class TestRetrieveTopD:
             index = DenseIndex.build(model, pool)
             inp = make_input(random_text(rng), random_text(rng))
             d = int(rng.integers(1, len(pool) + 1))
-            got = retrieve_topD(index, model, inp, d)
+            got = retrieve_topD(index, inp, d)
             sims = [similarity(model, inp, demo) for demo in pool]
             order = sorted(range(len(pool)), key=lambda i: (-sims[i], i))
             assert [demo.ref for demo in got] == [pool[i].ref for i in order[:d]]
@@ -631,7 +633,7 @@ class TestRetrieveTopD:
         model = BiEncoder.init(EncoderConfig(vocab_buckets=32, dim=4), 42)
         model.embeddings = np.zeros_like(model.embeddings)
         index = DenseIndex.build(model, pool)
-        got = retrieve_topD(index, model, make_input("a", "b"), 6)
+        got = retrieve_topD(index, make_input("a", "b"), 6)
         assert [demo.ref for demo in got] == [demo.ref for demo in pool]
 
     def test_oversized_request_returns_all_with_warning(self, caplog):
@@ -640,7 +642,7 @@ class TestRetrieveTopD:
         model = BiEncoder.init(EncoderConfig(vocab_buckets=32, dim=4), 42)
         index = DenseIndex.build(model, pool)
         with caplog.at_level(logging.WARNING, logger="demorank.retriever"):
-            got = retrieve_topD(index, model, make_input("a", "b"), 10)
+            got = retrieve_topD(index, make_input("a", "b"), 10)
         assert len(got) == 4
         assert any("returning all" in rec.message for rec in caplog.records)
 
@@ -650,7 +652,7 @@ class TestRetrieveTopD:
         model = BiEncoder.init(EncoderConfig(vocab_buckets=32, dim=4), 42)
         index = DenseIndex.build(model, pool)
         with pytest.raises(ValueError, match="positive"):
-            retrieve_topD(index, model, make_input("a", "b"), 0)
+            retrieve_topD(index, make_input("a", "b"), 0)
 
     def test_empty_pool_rejected(self):
         model = BiEncoder.init(EncoderConfig(vocab_buckets=32, dim=4), 42)
@@ -663,8 +665,8 @@ class TestRetrieveTopD:
         model = BiEncoder.init(EncoderConfig(vocab_buckets=32, dim=4), 42)
         scaled = BiEncoder(model.embeddings * 3.0)
         inp = make_input(random_text(rng), random_text(rng))
-        base = retrieve_topD(DenseIndex.build(model, pool), model, inp, 8)
-        resc = retrieve_topD(DenseIndex.build(scaled, pool), scaled, inp, 8)
+        base = retrieve_topD(DenseIndex.build(model, pool), inp, 8)
+        resc = retrieve_topD(DenseIndex.build(scaled, pool), inp, 8)
         assert [d.ref for d in base] == [d.ref for d in resc]
 
 

@@ -68,7 +68,7 @@ def _unpack(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
         raise CheckpointFormatError(f"bad metadata: {exc}") from exc
     if not isinstance(meta, dict) or not isinstance(meta.get("tensors", []), list):
         raise CheckpointFormatError("bad metadata: expected an object with a tensor list")
-    payload = blob[20 + meta_len:]
+    payload = memoryview(blob)[20 + meta_len:]  # tensors are copied out, not the payload
     tensors: dict[str, np.ndarray] = {}
     for entry in meta.get("tensors", []):
         try:

@@ -265,7 +265,7 @@ class Workspace:
         cached = scoring.CachedScorer(inner)
         if self.score_cache and self.score_cache.exists():
             try:
-                cached.cache.load(self.score_cache, cached.scope)
+                cached.cache.load(self.score_cache)
             except (OSError, ValueError) as exc:
                 raise ArtifactError(
                     f"score cache {self.score_cache} is unreadable ({exc}); "
@@ -368,7 +368,7 @@ def _build_samples(ws: Workspace, out: dict[str, Path]) -> str:
 def _train_reranker(ws: Workspace, out: dict[str, Path]) -> str:
     cfg = ws.config
     samples = reranker.load_samples(ws.path("samples.jsonl"), ws.training_inputs, ws.pool)
-    model = reranker.CrossEncoder.init(cfg.encoder, cfg.encoder.hidden, cfg.seeds.reranker_init)
+    model = reranker.CrossEncoder.init(cfg.encoder, cfg.seeds.reranker_init)
     trained = reranker.train_reranker(model, samples, cfg.reranker, cfg.seeds.reranker_train)
     checkpoint.save_reranker(out["reranker.ckpt"], trained, ws.digest)
     return f"{len(samples)} samples, {cfg.reranker.epochs} epochs"

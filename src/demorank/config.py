@@ -85,19 +85,8 @@ class ScorerSection:
             raise ConfigError("bad scorer limits")
 
     def mock_weights(self) -> MockScorerWeights:
-        return MockScorerWeights(self.mock_rel, self.mock_div, self.mock_bal,
-                                 self.mock_raw_scale, self.mock_offset,
-                                 self.mock_relevance)
-
-
-@dataclass(frozen=True)
-class EncoderSection(EncoderConfig):
-    hidden: int = 64
-
-    def __post_init__(self) -> None:
-        if self.hidden <= 0:
-            raise ConfigError("encoder.hidden must be positive")
-        super().__post_init__()
+        return MockScorerWeights(**{f.name: getattr(self, f"mock_{f.name}")
+                                    for f in dataclasses.fields(MockScorerWeights)})
 
 
 @dataclass(frozen=True)
@@ -163,7 +152,7 @@ class ExperimentConfig:
     template: PromptTemplate = field(default_factory=PromptTemplate)
     scorer: ScorerSection = field(default_factory=ScorerSection)
     bm25: Bm25Params = field(default_factory=Bm25Params)
-    encoder: EncoderSection = field(default_factory=EncoderSection)
+    encoder: EncoderConfig = field(default_factory=EncoderConfig)
     retriever: RetrieverSection = field(default_factory=RetrieverSection)
     reranker: RerankerSection = field(default_factory=RerankerSection)
     selection: SelectionSection = field(default_factory=SelectionSection)

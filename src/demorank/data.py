@@ -6,9 +6,9 @@ File formats:
   pool.jsonl                       one demonstration per line (explicit fields)
   training_inputs.jsonl            one training input per line
 
-Every JSONL artifact is written by `write_jsonl` and read by `read_jsonl`;
-records that point at training inputs and pool demonstrations are resolved
-by `RefResolver`.
+Every line-based artifact (JSONL, qrels, run files) is written by `write_lines`
+and read by `read_records`; records that point at training inputs and pool
+demonstrations are resolved by `RefResolver`.
 """
 
 from __future__ import annotations
@@ -210,23 +210,39 @@ def build_training_inputs(
 # File IO
 
 
-def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
-    """One `json.dumps(record)` per line."""
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Each line, then a newline, to a UTF-8 text file."""
     with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
-def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """(line number, line) for each line of a text file; a line that is not
-    UTF-8 raises CorpusError naming the file and line."""
+def read_records(path: str | Path, parse: Callable[[str], T], prefix: str) -> list[T]:
+    """`parse(line)` for each non-blank line of a text file.
+
+    A line that is not UTF-8, or that `parse` rejects with ArithmeticError,
+    KeyError, TypeError or ValueError, raises CorpusError naming file and
+    line: `path:lineno: prefix reason`.
+    """
+    out = []
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise CorpusError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
-            yield lineno, line
+            if not line.strip():
+                continue
+            try:
+                out.append(parse(line))
+            except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
+                raise CorpusError(f"{path}:{lineno}: {prefix}{exc}") from exc
+    return out
+
+
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """One `json.dumps(record)` per line."""
+    write_lines(path, (json.dumps(record) for record in records))
 
 
 def read_jsonl(path: str | Path, parse: Callable[[dict], T], what: str) -> list[T]:
@@ -235,15 +251,7 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T], what: str) -> list[
     A line that is not JSON, lacks a field `parse` reads or holds a value it
     rejects (an unknown input or demo, say) raises CorpusError naming file and line.
     """
-    out = []
-    for lineno, line in read_lines(path):
-        if not line.strip():
-            continue
-        try:
-            out.append(parse(json.loads(line)))
-        except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
-            raise CorpusError(f"{path}:{lineno}: malformed {what}: {exc}") from exc
-    return out
+    return read_records(path, lambda line: parse(json.loads(line)), f"malformed {what}: ")
 
 
 class RefResolver:
@@ -270,14 +278,15 @@ class RefResolver:
         return demo
 
 
-def _id_and_text(obj: dict) -> tuple[str, str]:
-    """A query or passage record's id, a JSON string or integer (read as its
-    decimal string), and its text, a JSON string."""
-    if type(obj["id"]) not in (str, int):
-        raise TypeError(f"id is not a JSON string or integer: {obj['id']!r}")
-    if type(obj["text"]) is not str:
-        raise TypeError(f"text is not a JSON string: {obj['text']!r}")
-    return str(obj["id"]), obj["text"]
+def _id_and_text(obj: dict, prefix: str = "") -> tuple[str, str]:
+    """A query or passage record's `<prefix>id`, a JSON string or integer (read
+    as its decimal string), and its `<prefix>text`, a JSON string."""
+    key_id, key_text = f"{prefix}id", f"{prefix}text"
+    if type(obj[key_id]) not in (str, int):
+        raise TypeError(f"{key_id} is not a JSON string or integer: {obj[key_id]!r}")
+    if type(obj[key_text]) is not str:
+        raise TypeError(f"{key_text} is not a JSON string: {obj[key_text]!r}")
+    return str(obj[key_id]), obj[key_text]
 
 
 def load_queries(path: str | Path) -> list[Query]:
@@ -288,21 +297,19 @@ def load_passages(path: str | Path) -> list[Passage]:
     return read_jsonl(path, lambda obj: Passage(*_id_and_text(obj)), "passage")
 
 
+def _qrel(line: str) -> RelJudgment:
+    parts = line.rstrip("\n").split("\t")
+    if len(parts) != 4:
+        raise ValueError("expected 4 tab-separated fields")
+    qid, _, pid, grade = parts
+    try:
+        return RelJudgment(qid, pid, int(grade))
+    except ValueError as exc:
+        raise ValueError(f"bad grade {grade!r}") from exc
+
+
 def load_qrels(path: str | Path) -> list[RelJudgment]:
-    out = []
-    for lineno, line in read_lines(path):
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise CorpusError(f"{path}:{lineno}: expected 4 tab-separated fields")
-        qid, _, pid, grade = parts
-        try:
-            out.append(RelJudgment(qid, pid, int(grade)))
-        except ValueError as exc:
-            raise CorpusError(f"{path}:{lineno}: bad grade {grade!r}") from exc
-    return out
+    return read_records(path, _qrel, "")
 
 
 def write_jsonl_texts(path: str | Path, items) -> None:
@@ -310,9 +317,7 @@ def write_jsonl_texts(path: str | Path, items) -> None:
 
 
 def write_qrels(path: str | Path, judgments: list[RelJudgment]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for j in judgments:
-            fh.write(f"{j.query_id}\t0\t{j.passage_id}\t{j.grade}\n")
+    write_lines(path, (f"{j.query_id}\t0\t{j.passage_id}\t{j.grade}" for j in judgments))
 
 
 def load_dataset(queries_path, passages_path, qrels_path, split: str) -> Dataset:
@@ -335,8 +340,8 @@ def _pair_record(pair: Demonstration | TrainingInput, key: str) -> dict:
 
 
 def _read_pairs(path: str | Path, cls: type, key: str, what: str) -> list:
-    return read_jsonl(path, lambda obj: cls(Query(obj["query_id"], obj["query_text"]),
-                                            Passage(obj["passage_id"], obj["passage_text"]),
+    return read_jsonl(path, lambda obj: cls(Query(*_id_and_text(obj, "query_")),
+                                            Passage(*_id_and_text(obj, "passage_")),
                                             Label(obj[key])), what)
 
 

@@ -18,8 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .bm25 import Bm25Params, bm25_search, build_index, build_pool_index
-from .data import (CorpusError, Dataset, Demonstration, Passage, Query, TrainingInput,
-                   read_lines)
+from .data import (Dataset, Demonstration, Passage, Query, TrainingInput, read_records,
+                   write_lines)
 from .reranker import CrossEncoder, cross_score_batch
 from .retriever import BiEncoder, DenseIndex, encoding_cache, retrieve_topD
 from .scoring import PromptTemplate, ScoreRequest, ScorerBackend, score_list
@@ -187,25 +187,19 @@ def evaluate_run(entries: list[RunEntry], qrels: dict[str, dict[str, int]],
 
 
 def write_run(path, entries: list[RunEntry]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in entries:
-            fh.write(f"{e.query_id} Q0 {e.passage_id} {e.rank} {e.score!r} {e.tag}\n")
+    write_lines(path, (f"{e.query_id} Q0 {e.passage_id} {e.rank} {e.score!r} {e.tag}"
+                       for e in entries))
+
+
+def _run_entry(line: str) -> RunEntry:
+    parts = line.split()
+    if len(parts) != 6 or parts[1] != "Q0":
+        raise ValueError("want 'query_id Q0 passage_id rank score tag'")
+    return RunEntry(parts[0], parts[2], int(parts[3]), float(parts[4]), parts[5])
 
 
 def load_run(path) -> list[RunEntry]:
-    out = []
-    for lineno, line in read_lines(path):
-        parts = line.split()
-        if not parts:
-            continue
-        try:
-            if len(parts) != 6 or parts[1] != "Q0":
-                raise ValueError("want 'query_id Q0 passage_id rank score tag'")
-            out.append(RunEntry(parts[0], parts[2], int(parts[3]),
-                                float(parts[4]), parts[5]))
-        except ValueError as exc:
-            raise CorpusError(f"{path}:{lineno}: bad run line: {exc}") from exc
-    return out
+    return read_records(path, _run_entry, "bad run line: ")
 
 
 # ---------------------------------------------------------------------------

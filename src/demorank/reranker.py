@@ -61,7 +61,7 @@ class CrossEncoder:
     b2: np.ndarray  # (1,)
 
     @classmethod
-    def init(cls, config: EncoderConfig, hidden: int, seed: int) -> "CrossEncoder":
+    def init(cls, config: EncoderConfig, seed: int) -> "CrossEncoder":
         """Seeded init, scaled so hidden units start in tanh's nonlinear range.
 
         Mean-pooled hashed encodings are small (roughly EMBED_INIT_SCALE /
@@ -72,10 +72,8 @@ class CrossEncoder:
         scale, chosen so every feature block contributes about the same
         pre-activation variance.
         """
-        if hidden <= 0:
-            raise ValueError("hidden must be positive")
         rng = np.random.default_rng(seed)
-        d = config.dim
+        d, hidden = config.dim, config.hidden
         embeddings = snap_f32(rng.uniform(-EMBED_INIT_SCALE, EMBED_INIT_SCALE,
                                           size=(config.vocab_buckets, d)))
         s_enc = EMBED_INIT_SCALE / math.sqrt(3 * NOMINAL_TOKENS_PER_TEXT)

@@ -71,10 +71,11 @@ def snap_f32(arr: np.ndarray) -> np.ndarray:
 class EncoderConfig:
     vocab_buckets: int = 4096
     dim: int = 64
+    hidden: int = 64  # the cross-encoder's hidden width
 
     def __post_init__(self) -> None:
-        if self.vocab_buckets <= 0 or self.dim <= 0:
-            raise ValueError("vocab_buckets and dim must be positive")
+        if self.vocab_buckets <= 0 or self.dim <= 0 or self.hidden <= 0:
+            raise ValueError("vocab_buckets, dim and hidden must be positive")
 
 
 INIT_SCALE = 0.05
@@ -114,8 +115,10 @@ def scatter_feats(grad: np.ndarray, feats: tuple[np.ndarray, np.ndarray],
 
 
 def feats_rows(feats_list) -> np.ndarray:
-    """Sorted distinct table rows that any of the texts' encodings read."""
-    return np.unique(np.concatenate([ids for ids, _ in feats_list]))
+    """Sorted distinct table rows that any of the texts' encodings read (a
+    sort and a diff: numpy 2's `np.unique` imports numpy.ma, over 1 MB)."""
+    ids = np.sort(np.concatenate([ids for ids, _ in feats_list]))
+    return ids[np.diff(ids, prepend=-1) != 0]
 
 
 def sgd_rows(table: np.ndarray, grad: np.ndarray, rows: np.ndarray,

@@ -350,9 +350,11 @@ class HttpScorer:
 
 
 class ScoreCache:
-    """Thread-safe map from a key (see `CachedScorer`) to a `LabelDistribution`."""
+    """Thread-safe map from a key (see `CachedScorer`) to a `LabelDistribution`,
+    for the one scorer whose keys start with `scope`."""
 
-    def __init__(self) -> None:
+    def __init__(self, scope: str) -> None:
+        self.scope = scope
         self._store: dict[str, LabelDistribution] = {}
         self._lock = threading.Lock()
         self.hits = 0
@@ -380,10 +382,10 @@ class ScoreCache:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(snapshot, fh)
 
-    def load(self, path, scope: str = "") -> None:
-        """Merge a saved cache's entries under `scope` (a `CachedScorer.scope`),
-        so a save drops other scorers'; ValueError if the file is not a cache
-        or any entry is not a distribution `LabelDistribution` accepts."""
+    def load(self, path) -> None:
+        """Merge a saved cache's entries under this cache's scope, so a save
+        drops other scorers'; ValueError if the file is not a cache or any
+        entry is not a distribution `LabelDistribution` accepts."""
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
         try:  # a JSON value that unpacks into two numbers is a [number, number] list
@@ -392,22 +394,22 @@ class ScoreCache:
         except (ArithmeticError, AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"not a JSON object of [p_yes, p_no] pairs: {exc}") from exc
         with self._lock:
-            self._store.update((k, d) for k, d in entries.items() if k.startswith(scope))
+            self._store.update((k, d) for k, d in entries.items() if k.startswith(self.scope))
 
 
 class CachedScorer:
     """Read-through cache around any backend; identical values either way.
 
     Entries are keyed on `scope`, from the backend's identity (its `identity()`,
-    else its class name), plus the request digest, so one cache shared by
-    differently configured scorers never serves one scorer's values to another.
+    else its class name), plus the request digest, so a saved cache file never
+    serves one scorer's values to a differently configured one.
     """
 
-    def __init__(self, backend: ScorerBackend, cache: ScoreCache | None = None) -> None:
+    def __init__(self, backend: ScorerBackend) -> None:
         self.backend = backend
-        self.cache = cache if cache is not None else ScoreCache()
         identity = getattr(backend, "identity", lambda: type(backend).__qualname__)()
         self.scope = sha256(identity.encode("utf-8")).hexdigest()[:16] + ":"
+        self.cache = ScoreCache(self.scope)
 
     def distribution(self, request: ScoreRequest) -> LabelDistribution:
         return self.distributions([request])[0]

@@ -116,7 +116,7 @@ def toy_chain():
     inputs, _ = build_training_inputs(synth.train, 17)
     backend = CachedScorer(MockScorer(relevance_fn=synth.relevance_fn()))
     template = PromptTemplate()
-    config = EncoderConfig(vocab_buckets=256, dim=16)
+    config = EncoderConfig(vocab_buckets=256, dim=16, hidden=8)
     retriever = BiEncoder.init(config, 23)
     index = DenseIndex.build(retriever, pool)
     retrieved = [retrieve_topD(index, inp, 8) for inp in inputs]
@@ -143,7 +143,7 @@ def desk_state(tmp_path_factory) -> DeskState:
     retr0 = BiEncoder.init(cfg.encoder, cfg.seeds.retriever_init)
     retr_split = train_retriever(retr0, train_sets, cfg.retriever, cfg.seeds.retriever_train)
     retr_all = s.model("retriever")
-    rr0 = CrossEncoder.init(cfg.encoder, cfg.encoder.hidden, cfg.seeds.reranker_init)
+    rr0 = CrossEncoder.init(cfg.encoder, cfg.seeds.reranker_init)
 
     # Held-out inputs come from the test split: one Yes and one No per query.
     rng = random.Random(47)

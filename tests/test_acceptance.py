@@ -179,7 +179,7 @@ class TestAcceptanceCriteria:
     def test_criterion_01_gradients_match_finite_differences(self, record_criterion):
         rng = np.random.default_rng(42)
         h = 1e-5
-        config = EncoderConfig(vocab_buckets=16, dim=4)
+        config = EncoderConfig(vocab_buckets=16, dim=4, hidden=4)
         worst = 0.0
         checked = 0
         start = time.monotonic()
@@ -209,7 +209,7 @@ class TestAcceptanceCriteria:
                         worst = max(worst, fd_relative_error(grad[r, c], (up - down) / (2 * h)))
                         checked += 1
         for _ in range(100):
-            model = CrossEncoder.init(config, 4, int(rng.integers(100000)))
+            model = CrossEncoder.init(config, int(rng.integers(100000)))
             samples = [random_sample(rng, int(rng.integers(0, 3)), int(rng.integers(2, 6)))
                        for _ in range(int(rng.integers(1, 3)))]
             _, grads = reranker_loss_and_grads(
@@ -300,7 +300,7 @@ class TestAcceptanceCriteria:
     def test_criterion_04_loss_identities(self, record_criterion):
         d_ln_n = abs(contrastive_loss_and_grad(np.full(50, 0.7), 17)[0] - 3.912023005428146)
         d_pair = abs(ranknet_loss_and_grad(np.array([0.4, 0.4]), [1, 2])[0] - math.log(2))
-        model = CrossEncoder.init(EncoderConfig(vocab_buckets=16, dim=4), 4, 42)
+        model = CrossEncoder.init(EncoderConfig(vocab_buckets=16, dim=4, hidden=4), 42)
         model.embeddings = np.zeros_like(model.embeddings)
         model.w1 = np.zeros_like(model.w1)
         model.b1 = np.zeros_like(model.b1)
@@ -315,7 +315,7 @@ class TestAcceptanceCriteria:
         ranks = list(rng.permutation(6) + 1)
         d_shift_rn = abs(ranknet_loss_and_grad(scores + 123.25, ranks)[0]
                          - ranknet_loss_and_grad(scores, ranks)[0])
-        model2 = CrossEncoder.init(EncoderConfig(vocab_buckets=64, dim=8), 4, 42)
+        model2 = CrossEncoder.init(EncoderConfig(vocab_buckets=64, dim=8, hidden=4), 42)
         samples2 = [random_sample(rng, 1, 4) for _ in range(5)]
         shifted = dataclasses.replace(model2, b2=model2.b2 + 11.25)
         d_shift_lp = abs(list_pairwise_loss(shifted, samples2)

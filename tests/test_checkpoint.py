@@ -155,7 +155,7 @@ class TestRetrieverCheckpoint:
             assert similarity(loaded, inp, demo) == similarity(model, inp, demo)
 
     def test_wrong_kind_rejected(self, tmp_path):
-        reranker = CrossEncoder.init(EncoderConfig(vocab_buckets=32, dim=4), 2, 42)
+        reranker = CrossEncoder.init(EncoderConfig(vocab_buckets=32, dim=4, hidden=2), 42)
         path = tmp_path / "model.ckpt"
         save_reranker(path, reranker)
         with pytest.raises(CheckpointFormatError, match="expected a bi_encoder"):
@@ -174,7 +174,7 @@ class TestRetrieverCheckpoint:
 class TestRerankerCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(42)
-        model = CrossEncoder.init(EncoderConfig(vocab_buckets=64, dim=8), 4, 42)
+        model = CrossEncoder.init(EncoderConfig(vocab_buckets=64, dim=8, hidden=4), 42)
         path = tmp_path / "reranker.ckpt"
         save_reranker(path, model, config_digest="def456")
         loaded, meta = load_reranker(path)
@@ -213,7 +213,7 @@ class TestRerankerCheckpoint:
             load_reranker(path)
 
     def test_missing_tensor_rejected(self, tmp_path):
-        model = CrossEncoder.init(EncoderConfig(vocab_buckets=32, dim=4), 2, 42)
+        model = CrossEncoder.init(EncoderConfig(vocab_buckets=32, dim=4, hidden=2), 42)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, {
             "kind": "cross_encoder", "vocab_buckets": 32, "dim": 4,

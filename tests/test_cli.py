@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line pipeline driver."""
 
+import dataclasses
 import json
 import os
 import re
@@ -204,6 +205,41 @@ class TestStageTable:
             reads_oracle = (source, backend) == ("synthetic", "mock") and stage.name in self.SCORING
             assert (self.ORACLE <= set(stage.inputs)) == reads_oracle, stage.name
             assert ("topics" in stage.inputs) == reads_oracle, stage.name
+
+
+class TestStageReads:
+    @pytest.mark.parametrize("source", ["synthetic", "files"])
+    def test_each_builder_reads_only_what_its_stage_names(self, tmp_path, monkeypatch, source):
+        """Every artifact path a stage's build asks the workspace for is one of
+        the stage's inputs or outputs."""
+        overrides = None
+        if source == "files":
+            assert run_cli(write_config(tmp_path), tmp_path / "synth", "build-pool") == 0
+            shutil.copytree(tmp_path / "synth" / "data", tmp_path / "data")
+            overrides = {"data": {"source": "files", **{
+                f"{key}_path": f"data/{key}.{'tsv' if key.endswith('qrels') else 'jsonl'}"
+                for key in DATA_KEYS}}}
+        config_path = write_config(tmp_path, overrides)
+        run_stage, path = cli.run_stage, cli.Workspace.path
+        building, reads = [], set()
+
+        def build_tracked(stage):
+            def build(ws, out):
+                building.append(stage)
+                try:
+                    return stage.build(ws, out)
+                finally:
+                    building.pop()
+            return dataclasses.replace(stage, build=build)
+
+        monkeypatch.setattr(cli, "run_stage", lambda ws, stage, force: run_stage(
+            ws, build_tracked(stage), force))
+        monkeypatch.setattr(cli.Workspace, "path", lambda ws, rel: (
+            building and reads.add((building[-1], rel))) or path(ws, rel))
+        build_chain(config_path, tmp_path / "work")
+        assert {stage.command for stage, _ in reads} == set(CHAIN)
+        assert {(stage.name, rel) for stage, rel in reads
+                if rel not in stage.inputs + stage.outputs} == set()
 
 
 class TestPrintConfig:

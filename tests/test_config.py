@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import inspect
 import json
 import os
 import re
@@ -16,7 +17,6 @@ from demorank.bm25 import Bm25Params
 from demorank.config import (
     ConfigError,
     DataSection,
-    EncoderSection,
     ExperimentConfig,
     RerankerSection,
     RetrieverSection,
@@ -27,7 +27,7 @@ from demorank.config import (
 from demorank.pipeline import SelectionParams
 from demorank.retriever import EncoderConfig, RetrieverTrainConfig
 from demorank.reranker import RerankerTrainConfig
-from demorank.scoring import MockScorerWeights, PromptTemplate
+from demorank.scoring import HttpScorer, MockScorer, MockScorerWeights, PromptTemplate
 from demorank.synth import SynthParams
 
 
@@ -243,12 +243,12 @@ class TestSectionBuilders:
         with pytest.raises(ConfigError, match="bad value in data: topics must be positive"):
             config_from_dict({"data": {"topics": 0}})
 
-    def test_encoder_config_wrapped(self):
-        section = EncoderSection(vocab_buckets=256, dim=16, hidden=8)
-        assert isinstance(section, EncoderConfig)
-        assert (section.vocab_buckets, section.dim, section.hidden) == (256, 16, 8)
-        with pytest.raises(ConfigError, match="bad value in encoder"):
-            config_from_dict({"encoder": {"dim": 0}})
+    def test_encoder_section_is_the_encoder_config(self):
+        cfg = config_from_dict({"encoder": {"vocab_buckets": 256, "dim": 16, "hidden": 8}})
+        assert cfg.encoder == EncoderConfig(vocab_buckets=256, dim=16, hidden=8)
+        for key in ("vocab_buckets", "dim", "hidden"):
+            with pytest.raises(ConfigError, match=f"bad value in encoder: .*{key}"):
+                config_from_dict({"encoder": {key: 0}})
 
     def test_retriever_train_config(self):
         section = RetrieverSection(learning_rate=0.1, epochs=3, lam=0.5)
@@ -278,6 +278,29 @@ class TestSectionBuilders:
     def test_mock_weights(self):
         assert ScorerSection().mock_weights() == MockScorerWeights(
             2.0, 1.0, 1.0, 2.0, -1.0, 3.0)
+
+
+class TestScorerDefaults:
+    """The `scorer` section restates library defaults; they must not drift."""
+
+    def test_every_default_matches_the_library(self):
+        mock, http = (inspect.signature(cls).parameters for cls in (MockScorer, HttpScorer))
+        library = {
+            **{f"mock_{f.name}": f.default for f in dataclasses.fields(MockScorerWeights)},
+            "mock_relevance_threshold": mock["relevance_threshold"].default,
+            "timeout_sec": http["timeout"].default,
+            "max_retries": http["max_retries"].default,
+            "max_in_flight": http["max_in_flight"].default,
+        }
+        section = ScorerSection()
+        assert {f.name: getattr(section, f.name) for f in dataclasses.fields(ScorerSection)
+                if f.name not in ("backend", "endpoint")} == library
+        assert len(library) == 10
+
+    def test_mock_weights_maps_each_key_by_name(self):
+        values = {f.name: float(i) for i, f in enumerate(dataclasses.fields(MockScorerWeights))}
+        section = ScorerSection(**{f"mock_{name}": v for name, v in values.items()})
+        assert section.mock_weights() == MockScorerWeights(**values)
 
 
 def demorank_modules():

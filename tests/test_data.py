@@ -1,5 +1,6 @@
 """Tests for corpus types, demonstration pools, training inputs, and file IO."""
 
+import json
 import random
 import re
 
@@ -296,6 +297,20 @@ class TestFileRoundTrips:
         write_training_inputs(tmp_path / "inputs.jsonl", inputs)
         loaded = load_training_inputs(tmp_path / "inputs.jsonl")
         assert loaded == inputs
+
+    @pytest.mark.parametrize("load, key", [(load_pool, "label"), (load_training_inputs, "gold")])
+    @pytest.mark.parametrize("field, value", [
+        ("query_text", None), ("passage_text", ["a", "b"]), ("query_id", 1.5),
+        ("passage_id", None)])
+    def test_pair_record_fields_follow_the_query_and_passage_rule(self, tmp_path, load, key,
+                                                                  field, value):
+        record = {"query_id": "q0", "query_text": "reef", "passage_id": "p0",
+                  "passage_text": "coral reef", key: "Yes"}
+        path = tmp_path / "pool.jsonl"
+        path.write_text(json.dumps({**record, field: value}) + "\n")
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:1: malformed .*"
+                                              f"{field} is not a JSON string"):
+            load(path)
 
     def test_unicode_text_survives_round_trip(self, tmp_path):
         qs = [Query("q0", "café über 中文")]

@@ -113,6 +113,74 @@ def test_pair_text_is_the_one_rendering_of_a_pair():
     assert not found, sorted(found)
 
 
+LINE_IO = {"loop": ("data", "read_records"), "write": ("data", "write_lines")}
+
+
+def line_io(path: Path) -> set[str]:
+    """`module.function: loop` for each function that iterates a handle from
+    `with open(...)` (directly or as a call's argument, say `enumerate(fh)`),
+    and `module.function: write` for each that calls `.write` on one, outside
+    `data.read_records` and `data.write_lines`, the one line reader and writer.
+    Reading chunks (`iter(lambda: fh.read(n), b"")`) and `json.dump`/`json.load`
+    are not line loops."""
+    found = set()
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        handles = {item.optional_vars.id
+                   for node in ast.walk(fn) if isinstance(node, ast.With)
+                   for item in node.items
+                   if isinstance(item.optional_vars, ast.Name)
+                   and isinstance(item.context_expr, ast.Call)
+                   and getattr(item.context_expr.func, "id",
+                               getattr(item.context_expr.func, "attr", None)) == "open"}
+
+        def is_handle(node) -> bool:
+            return isinstance(node, ast.Name) and node.id in handles
+
+        for node in ast.walk(fn):
+            it = node.iter if isinstance(node, (ast.For, ast.comprehension)) else None
+            if is_handle(it) or (isinstance(it, ast.Call) and (
+                    any(is_handle(arg) for arg in it.args)
+                    or isinstance(it.func, ast.Attribute) and is_handle(it.func.value))):
+                found.add((fn.name, "loop"))
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("write", "writelines") and is_handle(node.func.value)):
+                found.add((fn.name, "write"))
+    return {f"{path.stem}.{name}: {kind}" for name, kind in found
+            if LINE_IO[kind] != (path.stem, name)}
+
+
+def test_read_records_and_write_lines_are_the_one_line_reader_and_writer():
+    modules = sorted(Path(demorank.__file__).parent.glob("*.py"))
+    found = set().union(*(line_io(path) for path in modules))
+    assert not found, sorted(found)
+
+
+def test_line_io_guard_catches_hand_rolled_loops(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "def reads(p):\n"
+        "    with open(p, 'rb') as fh:\n"
+        "        return [line for lineno, line in enumerate(fh, 1)]\n"
+        "def lines(p):\n"
+        "    with p.open() as fh:\n"
+        "        for line in fh.readlines():\n"
+        "            pass\n"
+        "def writes(p, rows):\n"
+        "    with open(p, 'w') as out:\n"
+        "        for row in rows:\n"
+        "            out.write(row)\n"
+        "def chunks(p):\n"
+        "    with open(p, 'rb') as fh:\n"
+        "        for chunk in iter(lambda: fh.read(1 << 20), b''):\n"
+        "            pass\n"
+        "def dumps(p, obj):\n"
+        "    with open(p, 'w') as fh:\n"
+        "        json.dump(obj, fh)\n")
+    assert line_io(path) == {"mod.reads: loop", "mod.lines: loop", "mod.writes: write"}
+
+
 def test_package_import_loads_no_module():
     """Names are imported from their modules; `import demorank` alone loads
     no submodule and no numpy."""

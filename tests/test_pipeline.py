@@ -185,7 +185,7 @@ class TestGreedySelectFrom:
     def test_greedy_select_validates_k_against_d(self):
         rng = np.random.default_rng(42)
         model = BiEncoder.init(EncoderConfig(vocab_buckets=32, dim=4), 42)
-        reranker = CrossEncoder.init(EncoderConfig(vocab_buckets=32, dim=4), 2, 42)
+        reranker = CrossEncoder.init(EncoderConfig(vocab_buckets=32, dim=4, hidden=2), 42)
         demos = [make_demo(str(i), random_text(rng), random_text(rng))
                  for i in range(4)]
         pool = sorted(demos, key=lambda d: d.ref)
@@ -360,7 +360,7 @@ def policy_world():
         backend=MockScorer(relevance_fn=synth.relevance_fn()),
         template=PromptTemplate(),
         retriever=retriever,
-        reranker=CrossEncoder.init(EncoderConfig(vocab_buckets=128, dim=8), 4, 37),
+        reranker=CrossEncoder.init(EncoderConfig(vocab_buckets=128, dim=8, hidden=4), 37),
         selection=SelectionParams(shots=2, retrieve_d=5),
     )
     return synth, ctx

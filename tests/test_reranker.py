@@ -99,7 +99,7 @@ class CountingScorer:
 
 class TestCrossEncoderInit:
     def test_shapes(self):
-        model = CrossEncoder.init(EncoderConfig(vocab_buckets=32, dim=8), 4, 42)
+        model = CrossEncoder.init(EncoderConfig(vocab_buckets=32, dim=8, hidden=4), 42)
         assert model.embeddings.shape == (32, 8)
         assert model.w1.shape == (4, 32)
         assert model.b1.shape == (4,)
@@ -107,19 +107,19 @@ class TestCrossEncoderInit:
         assert model.b2.shape == (1,)
 
     def test_parameters_float32_representable(self):
-        model = CrossEncoder.init(EncoderConfig(vocab_buckets=32, dim=8), 4, 42)
+        model = CrossEncoder.init(EncoderConfig(vocab_buckets=32, dim=8, hidden=4), 42)
         for arr in (model.embeddings, model.w1, model.b1, model.w2, model.b2):
             np.testing.assert_array_equal(arr, snap_f32(arr))
 
     def test_deterministic(self):
-        a = CrossEncoder.init(EncoderConfig(vocab_buckets=32, dim=8), 4, 42)
-        b = CrossEncoder.init(EncoderConfig(vocab_buckets=32, dim=8), 4, 42)
+        a = CrossEncoder.init(EncoderConfig(vocab_buckets=32, dim=8, hidden=4), 42)
+        b = CrossEncoder.init(EncoderConfig(vocab_buckets=32, dim=8, hidden=4), 42)
         np.testing.assert_array_equal(a.embeddings, b.embeddings)
         np.testing.assert_array_equal(a.w1, b.w1)
 
     def test_rejects_nonpositive_hidden(self):
         with pytest.raises(ValueError, match="hidden"):
-            CrossEncoder.init(EncoderConfig(vocab_buckets=32, dim=8), 0, 42)
+            CrossEncoder.init(EncoderConfig(vocab_buckets=32, dim=8, hidden=0), 42)
 
 
 def hand_model() -> CrossEncoder:
@@ -175,7 +175,7 @@ class TestCrossScore:
 
     def test_batch_matches_loop(self):
         rng = np.random.default_rng(42)
-        model = CrossEncoder.init(EncoderConfig(vocab_buckets=64, dim=8), 4, 42)
+        model = CrossEncoder.init(EncoderConfig(vocab_buckets=64, dim=8, hidden=4), 42)
         for _ in range(10):
             inp = make_input(random_text(rng), random_text(rng))
             prefix = [make_demo(f"pre{i}", random_text(rng), random_text(rng))
@@ -405,7 +405,7 @@ class TestListPairwiseLoss:
 
     def test_matches_pairwise_reimplementation(self):
         rng = np.random.default_rng(42)
-        model = CrossEncoder.init(EncoderConfig(vocab_buckets=64, dim=8), 4, 42)
+        model = CrossEncoder.init(EncoderConfig(vocab_buckets=64, dim=8, hidden=4), 42)
         for _ in range(10):
             sample = random_sample(rng, int(rng.integers(0, 3)), int(rng.integers(2, 6)))
             scores = [cross_score(model, sample.input, [*sample.prefix, c.demo])
@@ -419,7 +419,7 @@ class TestListPairwiseLoss:
 
     def test_shift_invariance_via_output_bias(self):
         rng = np.random.default_rng(42)
-        model = CrossEncoder.init(EncoderConfig(vocab_buckets=64, dim=8), 4, 42)
+        model = CrossEncoder.init(EncoderConfig(vocab_buckets=64, dim=8, hidden=4), 42)
         samples = [random_sample(rng, 1, 4) for _ in range(5)]
         base = list_pairwise_loss(model, samples)
         shifted = dataclasses.replace(model, b2=model.b2 + 11.25)
@@ -427,7 +427,7 @@ class TestListPairwiseLoss:
 
     def test_pair_cap_at_or_above_total_changes_nothing(self):
         rng = np.random.default_rng(42)
-        model = CrossEncoder.init(EncoderConfig(vocab_buckets=64, dim=8), 4, 42)
+        model = CrossEncoder.init(EncoderConfig(vocab_buckets=64, dim=8, hidden=4), 42)
         sample = random_sample(rng, 0, 5)
         full = list_pairwise_loss(model, [sample])
         capped = list_pairwise_loss(model, [sample], max_pairs_per_sample=10,
@@ -436,7 +436,7 @@ class TestListPairwiseLoss:
 
     def test_pair_cap_subsamples_deterministically(self):
         rng = np.random.default_rng(42)
-        model = CrossEncoder.init(EncoderConfig(vocab_buckets=64, dim=8), 4, 42)
+        model = CrossEncoder.init(EncoderConfig(vocab_buckets=64, dim=8, hidden=4), 42)
         sample = random_sample(rng, 0, 6)
         full = list_pairwise_loss(model, [sample])
         a = list_pairwise_loss(model, [sample], max_pairs_per_sample=4,
@@ -452,7 +452,7 @@ class TestRerankerGradients:
         rng = np.random.default_rng(42)
         h = 1e-5
         for trial in range(5):
-            model = CrossEncoder.init(EncoderConfig(vocab_buckets=16, dim=4), 4, trial)
+            model = CrossEncoder.init(EncoderConfig(vocab_buckets=16, dim=4, hidden=4), trial)
             samples = [random_sample(rng, int(rng.integers(0, 3)), int(rng.integers(2, 6)))
                        for _ in range(3)]
             loss, grads = reranker_loss_and_grads(
@@ -484,20 +484,20 @@ class TestTrainReranker:
             RerankerTrainConfig(max_pairs_per_sample=0)
 
     def test_rejects_empty_samples(self):
-        model = CrossEncoder.init(EncoderConfig(vocab_buckets=16, dim=4), 4, 42)
+        model = CrossEncoder.init(EncoderConfig(vocab_buckets=16, dim=4, hidden=4), 42)
         with pytest.raises(ValueError, match="no training samples"):
             train_reranker(model, [])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow on the way
     def test_non_finite_loss_names_the_trainer(self, toy_chain):
-        model = CrossEncoder.init(toy_chain["config"], 8, 37)
+        model = CrossEncoder.init(toy_chain["config"], 37)
         cfg = RerankerTrainConfig(learning_rate=1e300, epochs=1)
         with pytest.raises(NonFiniteLossError, match="non-finite reranker loss at epoch 0") as exc:
             train_reranker(model, toy_chain["samples"], cfg, 41)
         assert exc.value.model == "reranker"
 
     def test_deterministic_and_leaves_input_untouched(self, toy_chain):
-        model = CrossEncoder.init(toy_chain["config"], 8, 37)
+        model = CrossEncoder.init(toy_chain["config"], 37)
         names = ("embeddings", "w1", "b1", "w2", "b2")
         before = {name: getattr(model, name).copy() for name in names}
         cfg = RerankerTrainConfig(epochs=1)
@@ -512,7 +512,7 @@ class TestTrainReranker:
         texts = {pair_text(s.input) for s in samples}
         texts |= {demo_text(d) for s in samples
                   for d in (*s.prefix, *(c.demo for c in s.candidates))}
-        model = CrossEncoder.init(toy_chain["config"], 8, 37)
+        model = CrossEncoder.init(toy_chain["config"], 37)
         text_features.cache_clear()
         train_reranker(model, samples, RerankerTrainConfig(epochs=2), 41)
         assert text_features.cache_info().misses == len(texts)
@@ -521,7 +521,7 @@ class TestTrainReranker:
         # with a shared seed the permutation stream makes each longer run an
         # exact extension of the shorter one, so corpus losses after 0, 1, 2,
         # and 3 epochs trace one descent path
-        model = CrossEncoder.init(toy_chain["config"], 8, 37)
+        model = CrossEncoder.init(toy_chain["config"], 37)
         losses = [list_pairwise_loss(model, toy_chain["samples"])]
         for epochs in (1, 2, 3):
             cfg = RerankerTrainConfig(epochs=epochs)
@@ -531,7 +531,7 @@ class TestTrainReranker:
             assert later <= earlier + 1e-9
 
     def test_parameters_stay_float32_representable(self, toy_chain):
-        model = CrossEncoder.init(toy_chain["config"], 8, 37)
+        model = CrossEncoder.init(toy_chain["config"], 37)
         cfg = RerankerTrainConfig(epochs=1)
         trained = train_reranker(model, toy_chain["samples"], cfg, 41)
         for arr in (trained.embeddings, trained.w1, trained.b1, trained.w2, trained.b2):
@@ -573,7 +573,7 @@ class TestStepRowsCoverGradients:
 
     def test_reranker(self, toy_chain, checked_descend):
         samples = toy_chain["samples"]
-        model = CrossEncoder.init(toy_chain["config"], 8, 37)
+        model = CrossEncoder.init(toy_chain["config"], 37)
         train_reranker(model, samples, RerankerTrainConfig(epochs=2), 41)
         assert len(checked_descend) == 2 * len({s.input.input_id for s in samples})
 
@@ -616,7 +616,7 @@ class TestPreparationOutsideSteps:
         assert self.counts_at(counts, train, 3) == once
 
     def test_reranker(self, toy_chain, counts):
-        model = CrossEncoder.init(toy_chain["config"], 8, 37)
+        model = CrossEncoder.init(toy_chain["config"], 37)
 
         def train(epochs):
             train_reranker(model, toy_chain["samples"], RerankerTrainConfig(epochs=epochs), 41)

@@ -245,7 +245,7 @@ class TestScoringEntryPoints:
 
 class TestScoreCache:
     def test_lookup_and_store_with_stats(self):
-        cache = ScoreCache()
+        cache = ScoreCache("")
         assert cache.lookup("k") is None
         assert cache.misses == 1
         cache.store("k", LabelDistribution(0.6, 0.4))
@@ -254,24 +254,24 @@ class TestScoreCache:
         assert len(cache) == 1
 
     def test_save_load_round_trip(self, tmp_path):
-        cache = ScoreCache()
+        cache = ScoreCache("")
         cache.store("a", LabelDistribution(0.6, 0.4))
         cache.store("b", LabelDistribution(0.1, 0.9))
         cache.save(tmp_path / "cache.json")
         assert (tmp_path / "cache.json").read_text(encoding="utf-8") == (
             '{"a": [0.6, 0.4], "b": [0.1, 0.9]}')
-        fresh = ScoreCache()
+        fresh = ScoreCache("")
         fresh.load(tmp_path / "cache.json")
         assert fresh.lookup("a") == LabelDistribution(0.6, 0.4)
         assert fresh.lookup("b") == LabelDistribution(0.1, 0.9)
 
     def test_load_keeps_only_the_scope(self, tmp_path):
-        cache = ScoreCache()
+        cache = ScoreCache("")
         for key in ("s1:a", "s1:b", "s2:a"):
             cache.store(key, LabelDistribution(0.6, 0.4))
         cache.save(tmp_path / "cache.json")
-        fresh = ScoreCache()
-        fresh.load(tmp_path / "cache.json", "s1:")
+        fresh = ScoreCache("s1:")
+        fresh.load(tmp_path / "cache.json")
         fresh.save(tmp_path / "cache.json")
         assert (tmp_path / "cache.json").read_text(encoding="utf-8") == (
             '{"s1:a": [0.6, 0.4], "s1:b": [0.6, 0.4]}')
@@ -280,7 +280,7 @@ class TestScoreCache:
         path = tmp_path / "cache.json"
         path.write_text('{"k": [1' + "0" * 400 + ', 0]}')
         with pytest.raises(ValueError, match="not a JSON object of"):
-            ScoreCache().load(path)
+            ScoreCache("").load(path)
 
 
 class CountingScorer:
@@ -331,21 +331,29 @@ class TestCachedScorer:
         assert a != b
         assert len(cached.cache) == 2
 
-    def test_shared_cache_is_scoped_by_scorer_identity(self):
-        shared = ScoreCache()
+    def test_cache_is_scoped_by_scorer_identity(self, tmp_path):
         req = request([], "a b c", "a b d")
-        first = CachedScorer(MockScorer(), shared)
-        other = CachedScorer(MockScorer(MockScorerWeights(offset=0.5)), shared)
-        same = CachedScorer(MockScorer(), shared)
+        first = CachedScorer(MockScorer())
+        other = CachedScorer(MockScorer(MockScorerWeights(offset=0.5)))
+        same = CachedScorer(MockScorer())
         # a ground-truth oracle that calls the pair irrelevant, where the
         # overlap threshold alone calls it relevant
         irrelevant = MockScorer(relevance_fn=lambda q, p: False)
-        oracle = CachedScorer(irrelevant, shared)
+        oracle = CachedScorer(irrelevant)
+        assert same.scope == first.scope
+        assert len({first.scope, other.scope, oracle.scope}) == 3
         assert first.distribution(req) != other.distribution(req)
-        assert same.distribution(req) == first.distribution(req)
         assert oracle.distribution(req) == irrelevant.distribution(req) != first.distribution(req)
-        assert (shared.misses, shared.hits, len(shared)) == (3, 3, 3)
-        urls = {HttpScorer(u).identity() for u in ("http://a:1", "http://a:1/", "http://b:1")}
+        # a saved file serves the same scorer config and no other
+        path = tmp_path / "cache.json"
+        first.cache.save(path)
+        for cached in (same, other, oracle):
+            cached.cache.load(path)
+        assert same.distribution(req) == first.distribution(req)
+        assert (same.cache.misses, same.cache.hits, len(same.cache)) == (0, 1, 1)
+        assert (len(other.cache), len(oracle.cache)) == (1, 1)
+        urls = {CachedScorer(HttpScorer(u)).scope
+                for u in ("http://a:1", "http://a:1/", "http://b:1")}
         assert len(urls) == 2
 
     def test_thread_safety(self):

@@ -114,7 +114,7 @@ def toy_trained(toy_chain):
     ]
     retriever = train_retriever(BiEncoder.init(toy_chain["config"], 23), sets,
                                 RetrieverTrainConfig(), 29)
-    rr0 = CrossEncoder.init(toy_chain["config"], 8, 37)
+    rr0 = CrossEncoder.init(toy_chain["config"], 37)
     full = train_reranker(rr0, toy_chain["samples"],
                           RerankerTrainConfig(), 41)
     capped = train_reranker(rr0, toy_chain["samples"],

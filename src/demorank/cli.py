@@ -397,9 +397,14 @@ def _evaluate(policy: str, ws: Workspace, out: dict[str, Path]) -> str:
 
 
 def _compare(policies: list[str], ws: Workspace, out: dict[str, Path]) -> str:
-    reports = [read_artifact(ws.path(f"reports/{policy}.json"),
-                             lambda p: pipeline.EvalReport.from_json(p.read_text(encoding="utf-8")),
-                             "report") for policy in policies]
+    def load(path: Path) -> pipeline.EvalReport:
+        report = pipeline.EvalReport.from_json(path.read_text(encoding="utf-8"))
+        if report.policy != path.stem:
+            raise ValueError(f"policy {report.policy!r}, not {path.stem!r}")
+        return report
+
+    reports = [read_artifact(ws.path(f"reports/{policy}.json"), load, "report")
+               for policy in policies]
     comparison = pipeline.compare_reports(reports)
     comparison["config_digest"] = ws.digest
     out["compare.json"].write_text(json.dumps(comparison, sort_keys=True, indent=2),

@@ -22,7 +22,7 @@ from .data import (Dataset, Demonstration, Passage, Query, TrainingInput, read_r
                    write_lines)
 from .reranker import CrossEncoder, cross_score_batch
 from .retriever import BiEncoder, DenseIndex, encoding_cache, retrieve_topD
-from .scoring import PromptTemplate, ScoreRequest, ScorerBackend, score_list
+from .scoring import PromptTemplate, ScoreRequest, ScorerBackend, json_number, score_list
 
 # Each policy, with the trained models (PolicyContext fields) it reads.
 MODELS_BY_POLICY = {"zero-shot": (), "random": (), "bm25-demos": (),
@@ -246,7 +246,15 @@ class EvalReport:
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
-        return cls(**json.loads(text))
+        """A report; TypeError for a field of the wrong JSON type."""
+        obj = json.loads(text)
+        report = cls(**{**obj, "mean_ndcg": json_number(obj["mean_ndcg"]),
+                        "per_query": {q: json_number(v) for q, v in obj["per_query"].items()}})
+        kinds = {"policy": str, "shots": int, "config_digest": str, "excluded_queries": list}
+        wrong = [name for name, kind in kinds.items() if type(getattr(report, name)) is not kind]
+        if wrong or not all(type(q) is str for q in report.excluded_queries):
+            raise TypeError(f"wrong JSON type for {', '.join(wrong or ['excluded_queries'])}")
+        return report
 
 
 def initial_rankings(dataset: Dataset, params: Bm25Params) -> dict[str, list[Passage]]:

@@ -155,13 +155,8 @@ def sample_by_rank(ranks, rng: np.random.Generator) -> int:
     """
     probs = rank_sample_probabilities(ranks)
     order = np.argsort(np.asarray(ranks), kind="stable")
-    u = rng.random()
-    cum = 0.0
-    for idx in order:
-        cum += probs[idx]
-        if u < cum:
-            return int(idx)
-    return int(order[-1])  # float rounding fallback
+    pick = np.searchsorted(np.cumsum(probs[order]), rng.random(), side="right")
+    return int(order[min(pick, len(order) - 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -249,35 +244,23 @@ class SampleGroup:
         return cls(features, indexed, feats_rows(features))
 
 
-def _sample_scores(model: CrossEncoder, group: SampleGroup):
-    """Each sample of the group with its encodings, feature rows, scores and
-    hidden activations; every distinct text is encoded once."""
-    enc = np.stack([encode_feats(model.embeddings, f) for f in group.features])
-    for inp, prefix, lasts in group.samples:
-        e_input, e_lasts = enc[inp], enc[lasts]
-        x = _features(e_input, enc[prefix], e_lasts)
-        yield (inp, prefix, lasts), e_input, e_lasts, x, *_forward(model, x)
-
-
 def list_pairwise_loss(model: CrossEncoder, samples: list[ScoredCandidateSet],
                        max_pairs_per_sample: int | None = None,
                        pair_rng: np.random.Generator | None = None) -> float:
     """Sum over samples and better/worse continuation pairs of
-    log(1 + exp(score_worse - score_better)) under the model."""
+    log(1 + exp(score_worse - score_better)) under the model: the training
+    step's loss over one group of the samples."""
     if not samples:
         return 0.0
-    total = 0.0
-    for *_, scores, _ in _sample_scores(model, SampleGroup.build(samples, len(model.embeddings))):
-        ii, jj = _select_pairs(len(scores), max_pairs_per_sample, pair_rng)
-        total += float(np.logaddexp(0.0, scores[jj] - scores[ii]).sum())
-    return total
+    return reranker_loss_and_grads(model, SampleGroup.build(samples, len(model.embeddings)),
+                                   max_pairs_per_sample, pair_rng)[0]
 
 
 def reranker_loss_and_grads(model: CrossEncoder, group: SampleGroup,
                             max_pairs_per_sample: int | None = None,
                             pair_rng=None) -> tuple[float, dict]:
     """List-pairwise loss over a group's samples plus gradients for every
-    parameter.
+    parameter; every distinct text is encoded once.
 
     Per sample, table rows receive the input's, then each prefix demo's, then
     each last demo's contribution, in that order.
@@ -290,8 +273,12 @@ def reranker_loss_and_grads(model: CrossEncoder, group: SampleGroup,
         "b2": np.zeros_like(model.b2),
     }
     table_grad, feats = grads["embeddings"], group.features
+    enc = np.stack([encode_feats(model.embeddings, f) for f in feats])
     loss = 0.0
-    for (inp, prefix, lasts), e_input, e_lasts, x, scores, h in _sample_scores(model, group):
+    for inp, prefix, lasts in group.samples:
+        e_input, e_lasts = enc[inp], enc[lasts]
+        x = _features(e_input, enc[prefix], e_lasts)
+        scores, h = _forward(model, x)
         n = len(scores)
         ii, jj = _select_pairs(n, max_pairs_per_sample, pair_rng)
         sig = stable_sigmoid(scores[jj] - scores[ii])

@@ -130,9 +130,14 @@ def write_topics(path: str | Path, synth: SyntheticDataset) -> None:
 
 
 def load_topics(path: str | Path) -> tuple[dict[str, int], dict[str, int]]:
+    """The query and passage topic maps; ValueError unless each is a JSON
+    object whose values are JSON ints."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    return obj["query_topics"], obj["passage_topics"]
+    maps = obj["query_topics"], obj["passage_topics"]
+    if not all(type(m) is dict and all(type(t) is int for t in m.values()) for m in maps):
+        raise ValueError("topic maps must be JSON objects of JSON ints")
+    return maps
 
 
 def relevance_fn_from_files(query_topics: dict[str, int], passage_topics: dict[str, int],

@@ -348,6 +348,27 @@ class TestExitCodes:
         assert err.startswith("artifact error: ")
         assert str(workdir / rel) in err
 
+    @pytest.mark.parametrize("rel, stage, command, edit", [
+        ("reports/random.json", "evaluate-random", ["compare"],
+         lambda obj: {**obj, "mean_ndcg": "0.5"}),
+        ("reports/random.json", "evaluate-random", ["compare"],
+         lambda obj: {**obj, "policy": "demorank"}),
+        ("data/topics.json", "data", ["score-candidates"],
+         lambda obj: {key: {i: str(t) for i, t in topics.items()}
+                      for key, topics in obj.items()}),
+        ("data/topics.json", "data", ["score-candidates"],
+         lambda obj: {**obj, "query_topics": list(obj["query_topics"].values())}),
+    ], ids=["report-string-mean", "report-other-policy", "topics-string-ids",
+            "topics-list-of-ids"])
+    def test_field_of_the_wrong_type_is_an_artifact_error(self, built, tmp_path, capsys,
+                                                          rel, stage, command, edit):
+        config_path, workdir = copy_built(built, tmp_path)
+        edited = edit(json.loads((workdir / rel).read_text(encoding="utf-8")))
+        rewrite_vouched(workdir, rel, stage, json.dumps(edited).encode())
+        assert run_cli(config_path, workdir, *command) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"artifact error: {workdir / rel}: malformed ")
+
     def test_input_that_is_a_directory_is_an_artifact_error(self, built, tmp_path, capsys):
         config_path, workdir = copy_built(built, tmp_path)
         run = workdir / "runs" / "random.run"

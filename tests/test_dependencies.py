@@ -181,6 +181,50 @@ def test_line_io_guard_catches_hand_rolled_loops(tmp_path):
     assert line_io(path) == {"mod.reads: loop", "mod.lines: loop", "mod.writes: write"}
 
 
+def logaddexp_callers(path: Path) -> list[str]:
+    """Names of the functions in a module that call `logaddexp` (as `np.logaddexp`
+    or a bare name), each call counted in its innermost function."""
+    callers = set()
+
+    def visit(node, fn: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and getattr(
+                    child.func, "attr", getattr(child.func, "id", None)) == "logaddexp":
+                callers.add(fn)
+            visit(child, fn)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), "<module>")
+    return sorted(callers)
+
+
+def test_each_pair_loss_is_written_once():
+    """At most one function per module calls `np.logaddexp`, so a loss-only
+    entry point reads its training step instead of repeating the formula."""
+    modules = sorted(Path(demorank.__file__).parent.glob("*.py"))
+    repeated = {f"{path.name}: {', '.join(callers)}" for path in modules
+                if len(callers := logaddexp_callers(path)) > 1}
+    assert not repeated, sorted(repeated)
+
+
+def test_logaddexp_guard_counts_the_innermost_function(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "import numpy as np\n"
+        "from numpy import logaddexp\n"
+        "def step(s):\n"
+        "    return float(np.logaddexp(0.0, s).sum())\n"
+        "def loss(s):\n"
+        "    def inner(t):\n"
+        "        return logaddexp(0.0, t)\n"
+        "    return inner(s)\n"
+        "def reads(s):\n"
+        "    return step(s)\n")
+    assert logaddexp_callers(path) == ["inner", "step"]
+
+
 def test_package_import_loads_no_module():
     """Names are imported from their modules; `import demorank` alone loads
     no submodule and no numpy."""

@@ -460,6 +460,17 @@ class TestReports:
         report = EvalReport("random", 3, 0.5, {"q1": 0.5}, ["q2"], "digest")
         assert EvalReport.from_json(report.to_json()) == report
 
+    @pytest.mark.parametrize("field, value", [
+        ("mean_ndcg", "0.5"), ("mean_ndcg", True), ("mean_ndcg", None),
+        ("per_query", {"q1": "0.5"}), ("per_query", ["q1"]),
+        ("shots", 3.0), ("shots", True), ("policy", 7), ("config_digest", None),
+        ("excluded_queries", "q2"), ("excluded_queries", [2]),
+    ])
+    def test_from_json_refuses_a_field_of_the_wrong_json_type(self, field, value):
+        obj = json.loads(EvalReport("random", 3, 0.5, {"q1": 0.5}, ["q2"], "digest").to_json())
+        with pytest.raises((AttributeError, TypeError)):
+            EvalReport.from_json(json.dumps({**obj, field: value}))
+
     def test_compare_reports_deltas(self):
         reports = [
             self.make_report("zero-shot", 0.5),

@@ -252,6 +252,57 @@ class TestRankSampling:
         assert sample_by_rank(ranks, TopDraw()) == 2
 
 
+def walk_cdf(ranks, u: float) -> int:
+    """The inverse-CDF loop `sample_by_rank` once ran: add each candidate's
+    probability in ascending rank order and stop at the first partial sum
+    above `u`; a draw past every partial sum picks the last rank."""
+    probs = rank_sample_probabilities(ranks)
+    order = np.argsort(np.asarray(ranks), kind="stable")
+    cum = 0.0
+    for idx in order:
+        cum += probs[idx]
+        if u < cum:
+            return int(idx)
+    return int(order[-1])
+
+
+class FixedDraw:
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+class TestRankDrawMatchesCdfWalk:
+    def random_ranks(self, rng) -> list[float]:
+        ranks = rng.permutation(int(rng.integers(1, 60))) + 1.0
+        # scaled ranks make exp(-rank) underflow to 0 beyond the first few
+        return list(ranks * float(rng.uniform(1.0, 40.0)) if rng.random() < 0.2 else ranks)
+
+    def test_same_choice_on_random_rankings(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(3000):
+            ranks, seed = self.random_ranks(rng), int(rng.integers(2**32))
+            u = np.random.default_rng(seed).random()
+            assert sample_by_rank(ranks, np.random.default_rng(seed)) == walk_cdf(ranks, u)
+
+    def test_same_choice_on_a_draw_just_below_one(self):
+        rng = np.random.default_rng(7)
+        below_one = float(np.nextafter(1.0, 0.0))
+        for _ in range(500):
+            ranks = self.random_ranks(rng)
+            assert sample_by_rank(ranks, FixedDraw(below_one)) == walk_cdf(ranks, below_one)
+
+    def test_same_choice_on_draws_at_each_partial_sum(self):
+        # a draw equal to a partial sum moves on to the next rank in both
+        ranks = [4, 2, 5, 1, 3]
+        probs = rank_sample_probabilities(ranks)
+        for cum in np.cumsum(probs[np.argsort(ranks, kind="stable")]):
+            for u in (float(np.nextafter(cum, 0.0)), float(cum), 0.0):
+                assert sample_by_rank(ranks, FixedDraw(u)) == walk_cdf(ranks, u)
+
+
 class TestConstructSamples:
     def make_retrieved(self, rng, m: int):
         return [make_demo(str(i), random_text(rng), random_text(rng),

@@ -1,5 +1,7 @@
 """Tests for the synthetic topic-model corpus generator."""
 
+import json
+
 import pytest
 
 from demorank.synth import (
@@ -119,6 +121,20 @@ class TestTopicsFile:
         q_topics, p_topics = load_topics(tmp_path / "topics.json")
         assert q_topics == synth.query_topics
         assert p_topics == synth.passage_topics
+
+
+    @pytest.mark.parametrize("topics", [
+        {"query_topics": {"q1": "1"}, "passage_topics": {"p1": 1}},
+        {"query_topics": {"q1": 1}, "passage_topics": {"p1": 1.0}},
+        {"query_topics": {"q1": 1}, "passage_topics": {"p1": True}},
+        {"query_topics": [1], "passage_topics": {"p1": 1}},
+        {"query_topics": {"q1": 1}, "passage_topics": None},
+    ], ids=["string-id", "float-id", "bool-id", "list", "null"])
+    def test_maps_other_than_json_ints_refused(self, tmp_path, topics):
+        path = tmp_path / "topics.json"
+        path.write_text(json.dumps(topics), encoding="utf-8")
+        with pytest.raises(ValueError, match="JSON objects of JSON ints"):
+            load_topics(path)
 
 
 class TestRelevanceFn:
